@@ -24,7 +24,7 @@ class AccessControlEntry:
             raise ValueError("object id must be non-negative")
         if self.owner not in self.users_rw:
             object.__setattr__(self, "users_rw", (self.owner,) + tuple(self.users_rw))
-        if set(self.users_ro) & set(self.users_rw):
+        if not set(self.users_rw).isdisjoint(self.users_ro):
             raise ValueError("users_ro and users_rw must be disjoint")
 
     @classmethod
@@ -36,6 +36,11 @@ class AccessControlEntry:
     def can_read(self, user_id: str) -> bool:
         return (user_id == self.owner or user_id in self.users_rw
                 or user_id in self.users_ro)
+
+    def readers(self) -> tuple[str, ...]:
+        """Every user for whom :meth:`can_read` holds (the owner is in
+        ``users_rw``)."""
+        return self.users_rw + self.users_ro
 
     def can_write(self, user_id: str) -> bool:
         return user_id == self.owner or user_id in self.users_rw

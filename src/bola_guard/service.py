@@ -4,7 +4,10 @@ Request pipeline: verify the ``api_key`` header token, then
 
 * ``POST /<dir>``: group check, create the object, record its ACL entry;
 * ``GET/PUT/DELETE /<dir>/{id}``: per-object decision, then act;
-* ``GET /<dir>``: listing filtered to objects the caller may read;
+* ``GET /<dir>``: listing filtered to objects the caller may read. The
+  group rules are resolved once per listing; a reader group then gets the
+  path's bucket, and an own-only caller gets the ids in the ACL store's
+  reader index. Either way the cost is O(visible objects), not O(stored);
 * ``GET /admin/acl``: ACL inspection, ``admin`` group required.
 
 Status codes: 401 token failures, 403 denied decisions (body
@@ -33,7 +36,7 @@ from urllib.parse import urlsplit
 
 import yaml
 
-from .actions import Action
+from .actions import VERB_TO_ACTION, Action
 from .engine import AuthzEngine, DecisionReason
 from .errors import DuplicateObjectError, StorageError, TokenError
 from .rules import (
@@ -51,7 +54,15 @@ logger = logging.getLogger(__name__)
 TOKEN_HEADER = "api_key"
 ADMIN_GROUP = "admin"
 
-_VERB_ACTIONS = {"get": Action.READ, "put": Action.UPDATE, "delete": Action.DELETE}
+_VERB_ACTIONS = {verb: action for verb, action in VERB_TO_ACTION.items()
+                 if action is not Action.CREATE}
+
+# A listing is decided once, for every object of the path at the same time.
+_LIST_REASONS = {
+    Permission.DENY: DecisionReason.NO_GROUP_RULE,
+    Permission.ALLOW_ANY: DecisionReason.GROUP_GRANT,
+    Permission.ALLOW_OWN_ONLY: DecisionReason.OWNERSHIP_GRANT,
+}
 
 
 @dataclass
@@ -242,21 +253,23 @@ class ReferenceService:
     def _list(self, seq: int, token, template: str) -> Response:
         permission = effective_permission(self.engine.rules, token.groups,
                                           template, Action.READ)
-        allowed = permission is not Permission.DENY
+        reason = _LIST_REASONS[permission].value
         self._emit(seq, "decision", path=template, action="read",
-                   allowed=allowed, reason="group_grant" if allowed
-                   else "no_group_rule")
-        if not allowed:
-            return _denial(403, DecisionReason.NO_GROUP_RULE.value)
-        visible = []
-        for stored in self.objects.entries():
-            if stored["path"] != template:
-                continue
-            verdict = self.engine.authorize_access(
-                token, template, Action.READ, stored["id"])
-            if verdict.allowed:
-                visible.append({"id": stored["id"], **stored["body"]})
-        return Response(200, visible)
+                   allowed=permission is not Permission.DENY, reason=reason)
+        if permission is Permission.DENY:
+            return _denial(403, reason)
+        if permission is Permission.ALLOW_ANY:
+            visible = self.objects.in_path(template)
+        else:
+            # Own-only: the objects whose ACL entry names the caller. An ACL
+            # entry without an object stays hidden, as does an object
+            # without an ACL entry.
+            ids = self.engine.store.readable_ids(template, token.user_id)
+            visible = [stored for stored in
+                       (self.objects.get(template, i) for i in ids)
+                       if stored is not None]
+        return Response(200, [{"id": stored["id"], **stored["body"]}
+                              for stored in visible])
 
     def _admin_list_acl(self, token, method: str) -> Response:
         if method != "get":

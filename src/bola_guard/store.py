@@ -7,8 +7,23 @@ with a warning and the file is repaired, while damage before the final record
 raises :class:`CorruptJournalError`. Appends are flushed and fsynced before
 they are applied in memory, so an acknowledged write survives a crash.
 
+Live entries sit in per-path buckets, ``{path: {id: value}}``, so reading one
+path never touches another. Every change of an entry, whether from replay,
+``put``, ``delete`` or ``compact``, goes through :meth:`JournalStore._reindex`,
+which is where a subclass keeps its secondary index in step. Invariants:
+
+* a bucket holds exactly the live entries of its path;
+* :class:`AclStore` lists ``id`` under ``(path, user)`` in its reader index
+  exactly when the live entry of ``(path, id)`` names ``user`` as owner, in
+  ``users_rw`` or in ``users_ro``; a key whose set becomes empty is removed;
+* both are what a fresh replay of the journal would build.
+
 Single writer, any number of readers: mutations take the store lock and
-install fully-built immutable entries, so readers never observe a torn value.
+install fully-built immutable entries. Readers take no lock. They copy a
+bucket or a reader set in one C-level call (``dict.copy``, ``sorted`` of a
+set of ints), which the GIL makes atomic with respect to writers, and then
+work on the copy. So a reader never observes a torn value and never iterates
+a container that a writer is changing.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ from .errors import CorruptJournalError, NoSuchObjectError, StorageError
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
+S = TypeVar("S", bound="JournalStore")
 
 
 class JournalStore(Generic[T]):
@@ -34,12 +50,17 @@ class JournalStore(Generic[T]):
     def __init__(self, location: str | Path):
         self.location = Path(location)
         self._lock = threading.Lock()
-        self._entries: dict[tuple[str, int], T] = {}
         self._max_ids: dict[str, int] = {}
         self.journal_position = 0
         self._fh = None
-        self._replay()
+        with self._lock:
+            self._reset()
+            self._replay()
         self._fh = open(self.location, "a", encoding="utf-8")
+
+    @classmethod
+    def open(cls: type[S], location: str | Path) -> S:
+        return cls(location)
 
     # Subclass surface -----------------------------------------------------
 
@@ -51,6 +72,15 @@ class JournalStore(Generic[T]):
 
     def _key_of(self, value: T) -> tuple[str, int]:
         raise NotImplementedError
+
+    def _reset(self) -> None:
+        """Start with no entries; a subclass also empties its index here."""
+        self._buckets: dict[str, dict[int, T]] = {}
+
+    def _reindex(self, path: str, object_id: int, old: T | None,
+                 new: T | None) -> None:
+        """Called under the lock after the entry of (path, id) went from
+        ``old`` to ``new``; ``None`` means absent."""
 
     # Replay ---------------------------------------------------------------
 
@@ -100,15 +130,27 @@ class JournalStore(Generic[T]):
 
     def _apply(self, record: dict) -> None:
         if record.get("op") == "del":
-            key = (record["path"], int(record["id"]))
-            self._entries.pop(key, None)
+            self._remove(record["path"], int(record["id"]))
             return
-        value = self._decode(record)
-        key = self._key_of(value)
-        self._entries[key] = value
-        self._max_ids[key[0]] = max(self._max_ids.get(key[0], 0), key[1])
+        self._install(self._decode(record))
 
     # Mutation -------------------------------------------------------------
+
+    def _install(self, value: T) -> None:
+        path, object_id = self._key_of(value)
+        bucket = self._buckets.get(path)
+        if bucket is None:
+            bucket = self._buckets[path] = {}
+        old = bucket.get(object_id)
+        bucket[object_id] = value
+        if object_id > self._max_ids.get(path, 0):
+            self._max_ids[path] = object_id
+        self._reindex(path, object_id, old, value)
+
+    def _remove(self, path: str, object_id: int) -> None:
+        old = self._buckets.get(path, {}).pop(object_id, None)
+        if old is not None:
+            self._reindex(path, object_id, old, None)
 
     def _append(self, record: dict) -> None:
         try:
@@ -121,37 +163,39 @@ class JournalStore(Generic[T]):
     def put(self, value: T) -> T:
         """Upsert; durable before return."""
         record = self._encode(value)
-        key = self._key_of(value)
         with self._lock:
             self._append(record)
-            self._entries[key] = value
-            self._max_ids[key[0]] = max(self._max_ids.get(key[0], 0), key[1])
+            self._install(value)
             self.journal_position += 1
         return value
 
     def delete(self, path: str, object_id: int) -> None:
         """Append a tombstone; raises if the key is absent."""
-        key = (path, object_id)
         with self._lock:
-            if key not in self._entries:
+            if self.get(path, object_id) is None:
                 raise NoSuchObjectError(f"no entry for id={object_id} path={path!r}")
             self._append({"op": "del", "id": object_id, "path": path})
-            del self._entries[key]
+            self._remove(path, object_id)
             self.journal_position += 1
 
     # Reads ----------------------------------------------------------------
 
     def get(self, path: str, object_id: int) -> T | None:
-        return self._entries.get((path, object_id))
+        bucket = self._buckets.get(path)
+        return bucket.get(object_id) if bucket is not None else None
+
+    def in_path(self, path: str) -> list[T]:
+        """Snapshot of the live entries of one path, ordered by id."""
+        snapshot = self._buckets.get(path, {}).copy()
+        return [snapshot[object_id] for object_id in sorted(snapshot)]
 
     def entries(self) -> list[T]:
         """Snapshot of live entries, ordered by (path, id)."""
-        snapshot = list(self._entries.items())
-        snapshot.sort(key=lambda kv: kv[0])
-        return [value for _, value in snapshot]
+        return [value for path in sorted(self._buckets.copy())
+                for value in self.in_path(path)]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(bucket) for bucket in self._buckets.copy().values())
 
     def __iter__(self) -> Iterator[T]:
         return iter(self.entries())
@@ -165,23 +209,27 @@ class JournalStore(Generic[T]):
     def compact(self) -> int:
         """Rewrite the journal with live entries only; returns records written.
 
-        Drops history, so ids of deleted objects may be handed out again by
-        :meth:`next_id`. Run offline.
+        The buckets and index are then rebuilt from those entries, as a
+        reopen would build them. Drops history, so ids of deleted objects may
+        be handed out again by :meth:`next_id` after a reopen. Run offline:
+        a reader during the rebuild may miss entries.
         """
         with self._lock:
+            live = self.entries()
             tmp = self.location.with_suffix(self.location.suffix + ".compact")
             with open(tmp, "w", encoding="utf-8") as fh:
-                count = 0
-                for value in self.entries():
+                for value in live:
                     fh.write(json.dumps(self._encode(value)) + "\n")
-                    count += 1
                 fh.flush()
                 os.fsync(fh.fileno())
             self._fh.close()
             os.replace(tmp, self.location)
             self._fh = open(self.location, "a", encoding="utf-8")
-            self.journal_position = count
-            return count
+            self._reset()
+            for value in live:
+                self._install(value)
+            self.journal_position = len(live)
+            return len(live)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -197,11 +245,11 @@ class JournalStore(Generic[T]):
 
 
 class AclStore(JournalStore[AccessControlEntry]):
-    """ACL persistence; each upsert line is exactly the wire-format entry."""
+    """ACL persistence; each upsert line is exactly the wire-format entry.
 
-    @classmethod
-    def open(cls, location: str | Path) -> "AclStore":
-        return cls(location)
+    Keeps a reader index ``(path, user) -> ids`` so that the objects a user
+    may read on a path are found without scanning the path.
+    """
 
     def _encode(self, value: AccessControlEntry) -> dict:
         return value.to_record()
@@ -212,13 +260,38 @@ class AclStore(JournalStore[AccessControlEntry]):
     def _key_of(self, value: AccessControlEntry) -> tuple[str, int]:
         return (value.path, value.id)
 
+    def _reset(self) -> None:
+        super()._reset()
+        self._readers: dict[tuple[str, str], set[int]] = {}
+
+    def _reindex(self, path: str, object_id: int, old: AccessControlEntry | None,
+                 new: AccessControlEntry | None) -> None:
+        before = old.readers() if old is not None else ()
+        after = new.readers() if new is not None else ()
+        for user in before:
+            if user not in after:
+                ids = self._readers.get((path, user))
+                if ids is not None:     # None if ``before`` names a user twice
+                    ids.discard(object_id)
+                    if not ids:
+                        del self._readers[(path, user)]
+        for user in after:
+            if user not in before:
+                ids = self._readers.get((path, user))
+                if ids is None:
+                    self._readers[(path, user)] = {object_id}
+                else:
+                    ids.add(object_id)
+
+    def readable_ids(self, path: str, user_id: str) -> list[int]:
+        """Ids of the live entries of ``path`` that ``user_id`` may read, sorted."""
+        ids = self._readers.get((path, user_id))
+        # sorted() copies the set of ints in one C call, so no writer tears it.
+        return sorted(ids) if ids else []
+
 
 class ObjectStore(JournalStore[dict]):
     """Journal of stored object bodies: ``{"id", "path", "body"}`` records."""
-
-    @classmethod
-    def open(cls, location: str | Path) -> "ObjectStore":
-        return cls(location)
 
     def _encode(self, value: dict) -> dict:
         return {"id": value["id"], "path": value["path"], "body": value["body"]}

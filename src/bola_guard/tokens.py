@@ -95,14 +95,20 @@ def verify_token(raw: str, key: bytes, now: float) -> AuthToken:
     try:
         user_id = claims["user_id"]
         user_name = claims["user_name"]
-        groups = frozenset(claims["groups"])
+        groups = claims["groups"]
         expiry = float(claims["exp"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TokenInvalid(f"claims are incomplete or ill-typed: {exc}") from exc
+    if not isinstance(user_id, str):
+        raise TokenInvalid("user_id claim must be a string")
+    # A string would otherwise pass as an iterable of one-letter groups.
+    if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
+        raise TokenInvalid("groups claim must be a list of strings")
     if now >= expiry:
         raise TokenExpired(f"token expired at {expiry}")
-    return AuthToken(user_id=user_id, user_name=user_name, groups=groups,
-                     expiry=expiry, signature=expected, raw=raw)
+    return AuthToken(user_id=user_id, user_name=user_name,
+                     groups=frozenset(groups), expiry=expiry,
+                     signature=expected, raw=raw)
 
 
 def _decode_json(part: str) -> dict:

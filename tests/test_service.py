@@ -208,6 +208,21 @@ class TestDecisionOrdering:
                 assert payload["seq"] in allowed_seqs, \
                     f"{event} happened without a prior allow"
 
+    @pytest.mark.parametrize("groups, allowed, reason", [
+        ({"G21"}, True, "ownership_grant"),
+        ({"G22"}, True, "group_grant"),
+        ({"G21", "G22"}, True, "group_grant"),
+        ({"G23"}, False, "no_group_rule"),
+    ])
+    def test_listing_decision_names_its_permission(self, service, events,
+                                                   groups, allowed, reason):
+        request(service, "POST", "/pet", token("123", {"G21"}), {})
+        events.clear()
+        request(service, "GET", "/pet", token("123", groups))
+        assert [(payload["allowed"], payload["reason"])
+                for event, payload in events if event == "decision"] == \
+            [(allowed, reason)]
+
     def test_denied_requests_mutate_nothing(self, service, events):
         request(service, "POST", "/pet", token("123", {"G22"}), {})
         assert not [e for e, _ in events if e in MUTATION_EVENTS]

@@ -1,5 +1,6 @@
 import json
 import logging
+import sys
 import threading
 
 import pytest
@@ -174,6 +175,61 @@ class TestCompaction:
             assert len(store) == 2
 
 
+class TestIndexes:
+    def test_in_path_is_one_path_in_id_order(self, tmp_path):
+        with AclStore.open(tmp_path / "acl.ndjson") as store:
+            for object_id, path in ((3, "/pets"), (1, "/users"), (1, "/pets")):
+                store.put(ace(object_id, path=path))
+            assert [a.id for a in store.in_path("/pets")] == [1, 3]
+            assert store.in_path("/stock") == []
+
+    def test_readable_ids_follow_grants_moves_and_deletes(self, tmp_path):
+        with AclStore.open(tmp_path / "acl.ndjson") as store:
+            store.put(ace(2, owner="1"))
+            store.put(ace(1, owner="1", ro=["2"]))
+            assert store.readable_ids("/pets", "1") == [1, 2]
+            assert store.readable_ids("/pets", "2") == [1]
+            store.put(ace(1, owner="1", rw=["1", "2"]))     # ro -> rw
+            assert store.readable_ids("/pets", "2") == [1]
+            store.put(ace(1, owner="3"))                    # new owner only
+            assert store.readable_ids("/pets", "2") == []
+            assert store.readable_ids("/pets", "1") == [2]
+            assert store.readable_ids("/pets", "3") == [1]
+            store.delete("/pets", 2)
+            assert store.readable_ids("/pets", "1") == []
+            assert store.readable_ids("/users", "3") == []
+
+    def test_a_user_listed_twice_is_indexed_once(self, tmp_path):
+        with AclStore.open(tmp_path / "acl.ndjson") as store:
+            store.put(ace(1, owner="1", rw=["1", "2", "2"]))
+            assert store.readable_ids("/pets", "2") == [1]
+            store.put(ace(1, owner="1"))
+            assert store.readable_ids("/pets", "2") == []
+            store.delete("/pets", 1)
+            assert store.readable_ids("/pets", "1") == []
+
+    def test_replay_and_compact_build_the_same_indexes(self, tmp_path):
+        location = tmp_path / "acl.ndjson"
+        users = ("1", "2", "3")
+
+        def state(store):
+            return ([(a.path, a.id) for a in store.entries()],
+                    {(p, u): store.readable_ids(p, u)
+                     for p in ("/pets", "/users") for u in users})
+
+        with AclStore.open(location) as store:
+            for i in range(12):
+                store.put(ace(i % 5, path=("/pets", "/users")[i % 2],
+                              owner=users[i % 3], ro=[users[(i + 1) % 3]]))
+            store.delete("/pets", 2)
+            store.delete("/users", 1)
+            live = state(store)
+            store.compact()
+            assert state(store) == live
+        with AclStore.open(location) as store:
+            assert state(store) == live
+
+
 class TestObjectStore:
     def test_round_trip(self, tmp_path):
         location = tmp_path / "objects.ndjson"
@@ -194,21 +250,58 @@ class TestConcurrency:
                 store.put(ace(i % 10, ro=[f"r{i}"]))
             stop.set()
 
+        def churner():
+            # Grants, moves between the lists and deletions over a sliding
+            # window of 32 objects, so reader-index sets grow, shrink and
+            # vanish while readers copy them.
+            i = 0
+            while not stop.is_set():
+                object_id, owner = i % 64, f"o{i % 3}"
+                store.put(ace(object_id, path="/users", owner=owner, ro=["x"]))
+                store.put(ace(object_id, path="/users", owner=owner,
+                              rw=[owner, "x"]))
+                if store.get("/users", (i - 32) % 64) is not None:
+                    store.delete("/users", (i - 32) % 64)
+                i += 1
+
         def reader():
             while not stop.is_set():
-                for entry in store.entries():
+                for entry in store.entries() + store.in_path("/users"):
                     if entry.owner not in entry.users_rw or \
                             set(entry.users_ro) & set(entry.users_rw):
                         errors.append(entry)
                 got = store.get("/pets", 3)
                 if got is not None and got.owner != "123":
                     errors.append(got)
+                for user in ("x", "o0", "o1", "o2"):
+                    ids = store.readable_ids("/users", user)
+                    if ids != sorted(set(ids)) or not set(ids) <= set(range(64)):
+                        errors.append((user, ids))
+                if not set(store.readable_ids("/pets", "r5")) <= {5}:
+                    errors.append(("r5", store.readable_ids("/pets", "r5")))
 
-        threads = [threading.Thread(target=writer)] + \
-                  [threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        def guarded(target):
+            def run():
+                try:
+                    target()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+                    stop.set()
+            return threading.Thread(target=run)
+
+        threads = [guarded(writer), guarded(churner)] + \
+                  [guarded(reader) for _ in range(3)]
+        # Switch threads often, so a reader that iterated a live container
+        # would be caught in the middle of it.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         store.close()
         assert errors == []

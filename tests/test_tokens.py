@@ -1,3 +1,8 @@
+import base64
+import hashlib
+import hmac
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,3 +106,37 @@ class TestTampering:
         claims = b.raw.split(".")[1]
         with pytest.raises(TokenInvalid):
             verify_token(f"{header}.{claims}.{signature}", KEY, now=NOW)
+
+
+def signed(claims: dict) -> str:
+    """A correctly signed token carrying arbitrary claims."""
+    def part(obj) -> str:
+        data = json.dumps(obj, separators=(",", ":")).encode()
+        return base64.urlsafe_b64encode(data).rstrip(b"=").decode()
+
+    signing_input = f"{part({'alg': 'HS256', 'typ': 'JWT'})}.{part(claims)}"
+    mac = hmac.new(KEY, signing_input.encode(), hashlib.sha256).digest()
+    return f"{signing_input}.{base64.urlsafe_b64encode(mac).rstrip(b'=').decode()}"
+
+
+class TestClaimTypes:
+    CLAIMS = {"user_id": "123", "user_name": "alice", "groups": ["G21"],
+              "exp": NOW + 60}
+
+    def test_well_typed_claims_verify(self):
+        verified = verify_token(signed(self.CLAIMS), KEY, now=NOW)
+        assert (verified.user_id, verified.groups) == ("123", frozenset({"G21"}))
+
+    @pytest.mark.parametrize("groups", ["G21", {"G21": True}, [["G21"]], [21],
+                                        [None], None])
+    def test_groups_must_be_a_list_of_strings(self, groups):
+        # A string would otherwise become the groups {"G", "2", "1"}.
+        with pytest.raises(TokenInvalid):
+            verify_token(signed({**self.CLAIMS, "groups": groups}), KEY, now=NOW)
+
+    @pytest.mark.parametrize("user_id", [123, 1.5, None, ["123"], {"id": "123"},
+                                         True])
+    def test_user_id_must_be_a_string(self, user_id):
+        with pytest.raises(TokenInvalid):
+            verify_token(signed({**self.CLAIMS, "user_id": user_id}), KEY,
+                         now=NOW)
