@@ -7,9 +7,6 @@ from dataclasses import dataclass, replace
 
 from .errors import NotOwnerError
 
-# Wire key order is part of the format.
-ACE_KEYS = ("id", "path", "owner", "users_ro", "users_rw")
-
 
 @dataclass(frozen=True)
 class AccessControlEntry:
@@ -46,7 +43,7 @@ class AccessControlEntry:
         return user_id == self.owner or user_id in self.users_rw
 
     def to_record(self) -> dict:
-        """Wire shape, keys in canonical order."""
+        """Wire shape; the key order is part of the journal format."""
         return {
             "id": self.id,
             "path": self.path,

@@ -20,8 +20,6 @@ VERB_TO_ACTION: dict[str, Action] = {
     "delete": Action.DELETE,
 }
 
-ACTION_TO_VERB: dict[Action, str] = {a: v for v, a in VERB_TO_ACTION.items()}
-
 LETTER_TO_ACTION: dict[str, Action] = {
     "C": Action.CREATE,
     "R": Action.READ,

@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 validation errors / failed check, 2 usage error,
 3 I/O or document error. Every subcommand accepts ``--json`` for
 machine-readable output. The signing key path may come from the
 ``BOLA_GUARD_KEY`` environment variable instead of ``--key``.
+``acl grant`` and ``acl compact`` write the single-writer ACL journal: run
+them offline, never while a service holds it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .acl import apply_grant
 from .errors import (
     BolaGuardError,
     DocumentSyntaxError,
@@ -24,8 +25,10 @@ from .errors import (
     NotOwnerError,
     StructureError,
 )
+from .engine import AuthzEngine
 from .generator import roundtrip_check, spec_to_stub, stub_to_spec
 from .model import emit_document, parse_document
+from .rules import GroupRuleSet
 from .service import ServiceConfig, serve
 from .store import AclStore
 from .tokens import issue_token
@@ -129,14 +132,11 @@ def cmd_acl_list(args) -> int:
 
 
 def cmd_acl_grant(args) -> int:
+    # Granting needs no group rules: only the entry's owner may grant.
     with AclStore.open(args.journal) as store:
-        ace = store.get(args.path, args.object)
-        if ace is None:
-            raise NoSuchObjectError(f"no object id={args.object} at {args.path!r}")
-        updated = apply_grant(ace, args.actor, args.grantee, args.level)
-        if updated != ace:
-            store.put(updated)
-        print(json.dumps(updated.to_record()) if args.json else updated.to_json())
+        ace = AuthzEngine(GroupRuleSet(), store).grant(
+            args.actor, args.object, args.path, args.grantee, args.level)
+        print(json.dumps(ace.to_record()) if args.json else ace.to_json())
     return EXIT_OK
 
 
@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(a)
     a.set_defaults(func=cmd_acl_list)
 
-    a = acl_sub.add_parser("grant", help="owner grants RO/RW access")
+    a = acl_sub.add_parser("grant", help="owner grants RO/RW access "
+                                         "(run offline, like compact)")
     a.add_argument("--journal", required=True)
     a.add_argument("--path", required=True)
     a.add_argument("--object", type=int, required=True)

@@ -23,13 +23,7 @@ from enum import Enum
 from .acl import AccessControlEntry, apply_grant
 from .actions import Action
 from .errors import DuplicateObjectError, NoSuchObjectError
-from .rules import (
-    GroupRule,
-    GroupRuleSet,
-    Permission,
-    effective_permission,
-    matching_rule,
-)
+from .rules import GroupRule, GroupRuleSet, Permission, effective_permission
 from .store import AclStore
 from .tokens import AuthToken
 
@@ -71,11 +65,10 @@ class AuthzEngine:
 
     def authorize_create(self, token: AuthToken, path: str) -> AuthzDecision:
         """Group check for POST; the ACL entry is recorded separately."""
-        permission = effective_permission(self.rules, token.groups, path,
-                                          Action.CREATE)
+        permission, rule = effective_permission(self.rules, token.groups, path,
+                                                Action.CREATE)
         if permission is Permission.DENY:
             return AuthzDecision(False, DecisionReason.NO_GROUP_RULE)
-        rule = matching_rule(self.rules, token.groups, path, Action.CREATE)
         return AuthzDecision(True, DecisionReason.GROUP_GRANT, rule)
 
     def record_creation(self, token: AuthToken, path: str,
@@ -92,8 +85,8 @@ class AuthzEngine:
         """Decide read/update/delete on one object."""
         if action is Action.CREATE:
             raise ValueError("use authorize_create for creations")
-        permission = effective_permission(self.rules, token.groups, path, action)
-        rule = matching_rule(self.rules, token.groups, path, action)
+        permission, rule = effective_permission(self.rules, token.groups, path,
+                                                action)
         if permission is Permission.DENY:
             return AuthzDecision(False, DecisionReason.NO_GROUP_RULE)
         if permission is Permission.ALLOW_ANY:
@@ -111,13 +104,14 @@ class AuthzEngine:
             return AuthzDecision(True, DecisionReason.ACL_GRANT, rule)
         return AuthzDecision(False, DecisionReason.NOT_OWNER, rule)
 
-    def grant(self, actor: AuthToken, object_id: int, path: str, grantee: str,
+    def grant(self, actor_id: str, object_id: int, path: str, grantee: str,
               level: str) -> AccessControlEntry:
-        """Owner extends RO/RW access to another user; persisted immediately."""
+        """Owner ``actor_id`` extends RO/RW access to another user; persisted
+        immediately, and only when the entry changes."""
         ace = self.store.get(path, object_id)
         if ace is None:
             raise NoSuchObjectError(f"no object id={object_id} at {path!r}")
-        updated = apply_grant(ace, actor.user_id, grantee, level)
+        updated = apply_grant(ace, actor_id, grantee, level)
         if updated != ace:
             return self.store.put(updated)
         return ace

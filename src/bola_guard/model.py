@@ -29,7 +29,7 @@ import json
 import urllib.parse
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 import yaml
 
@@ -141,8 +141,6 @@ class ObjectAuthBinding:
     scopes: ScopeSet
     groups_ref: str | None = None   # root-level scopes.groups / scopes.user_id refs
     user_id_ref: str | None = None
-    groups_claim: str | None = None     # descriptors, resolved tolerantly at parse
-    user_id_claim: str | None = None
 
     def structural_key(self) -> str:
         """Fingerprint used to detect structurally identical bindings."""
@@ -152,7 +150,6 @@ class ObjectAuthBinding:
             "token": None if self.token is None else
                      [self.token.type, self.token.name, self.token.location],
             "scopes": sorted(a.value for a in self.scopes.entries),
-            "claims": [self.groups_claim, self.user_id_claim],
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -501,8 +498,6 @@ def _parse_binding(node: Any, context: str, placement: Placement) -> ObjectAuthB
         scopes=scopes,
         groups_ref=groups_ref,
         user_id_ref=user_id_ref,
-        groups_claim=None,
-        user_id_claim=None,
     )
 
 
@@ -672,20 +667,3 @@ def _canonicalize_refs(node: Any) -> None:
 def _canonicalize_ref_string(ref: str) -> str:
     segments = ref.split("/")
     return "/".join(_SEGMENT_CANON.get(s.lower(), s) for s in segments)
-
-
-def document_refs(doc: EssDocument) -> Iterator[str]:
-    """Every $ref string in the document, in traversal order."""
-
-    def scan(node: Any) -> Iterator[str]:
-        if isinstance(node, dict):
-            for key, value in node.items():
-                if key == "$ref" and isinstance(value, str):
-                    yield value
-                else:
-                    yield from scan(value)
-        elif isinstance(node, list):
-            for value in node:
-                yield from scan(value)
-
-    yield from scan(doc.raw)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Collection, Iterable
 
 import yaml
 
@@ -44,24 +44,28 @@ class GroupRule:
 
 
 class GroupRuleSet:
-    """Rules indexed by (path, group); at most one rule per pair."""
+    """Rules with at most one per (path, group), kept in rule-set order and
+    indexed by (path, action), waiving rules first."""
 
     def __init__(self, rules: Iterable[GroupRule] = ()):
         self.rules: list[GroupRule] = []
-        self._index: dict[tuple[str, str], GroupRule] = {}
+        self._pairs: set[tuple[str, str]] = set()
+        self._granting: dict[tuple[str, Action], list[GroupRule]] = {}
         for rule in rules:
             self.add(rule)
 
     def add(self, rule: GroupRule) -> None:
         key = (rule.path, rule.group)
-        if key in self._index:
+        if key in self._pairs:
             raise RuleSetError(f"duplicate rule for path={rule.path!r} "
                                f"group={rule.group!r}")
-        self._index[key] = rule
+        self._pairs.add(key)
         self.rules.append(rule)
-
-    def lookup(self, path: str, group: str) -> GroupRule | None:
-        return self._index.get((path, group))
+        for action in rule.actions:
+            granting = self._granting.setdefault((rule.path, action), [])
+            granting.append(rule)
+            # Stable: rule-set order holds within the waiving and own-only parts.
+            granting.sort(key=lambda r: r.ownership_required)
 
     def paths(self) -> set[str]:
         return {rule.path for rule in self.rules}
@@ -73,31 +77,17 @@ class GroupRuleSet:
         return iter(self.rules)
 
 
-def effective_permission(rules: GroupRuleSet, groups: Iterable[str], path: str,
-                         action: Action) -> Permission:
-    """Widest permission any of the groups grants for (path, action)."""
-    matched = [rule for group in groups
-               for rule in (rules.lookup(path, group),)
-               if rule is not None and action in rule.actions]
-    if not matched:
-        return Permission.DENY
-    if any(not rule.ownership_required for rule in matched):
-        return Permission.ALLOW_ANY
-    return Permission.ALLOW_OWN_ONLY
-
-
-def matching_rule(rules: GroupRuleSet, groups: Iterable[str], path: str,
-                  action: Action) -> GroupRule | None:
-    """The rule backing the effective permission (widest first, rule-set order)."""
-    matched = [rule for rule in rules
-               if rule.group in set(groups) and rule.path == path
-               and action in rule.actions]
-    if not matched:
-        return None
-    for rule in matched:
-        if not rule.ownership_required:
-            return rule
-    return matched[0]
+def effective_permission(rules: GroupRuleSet, groups: Collection[str], path: str,
+                         action: Action) -> tuple[Permission, GroupRule | None]:
+    """Widest permission any of the groups grants for (path, action), and the
+    rule backing it: in rule-set order, the first rule of a held group that
+    waives ownership, else the first one that requires it, else none (deny)."""
+    for rule in rules._granting.get((path, action), ()):
+        if rule.group in groups:
+            if rule.ownership_required:
+                return Permission.ALLOW_OWN_ONLY, rule
+            return Permission.ALLOW_ANY, rule
+    return Permission.DENY, None
 
 
 def load_rules(path: str | Path) -> GroupRuleSet:

@@ -10,11 +10,16 @@ Request pipeline: verify the ``api_key`` header token, then
   reader index. Either way the cost is O(visible objects), not O(stored);
 * ``GET /admin/acl``: ACL inspection, ``admin`` group required.
 
+Routes are exactly the rule table's paths, with ids in canonical ASCII
+decimal (``/pet/1``, never ``/pet/+1`` or ``/pet/01``); anything else is 404
+``unknown_route``. Every object in a reply carries the server's id.
+
 Status codes: 401 token failures, 403 denied decisions (body
 ``{"code", "reason"}`` echoing the decision reason), 404 authorized but
-object missing, 201/200/204 for create/read-update/delete, 500 storage
-failures. Rule lookups use the directory template (``/pet``), never the
-concrete URL.
+object missing, 201/200/204 for create/read-update/delete, 400 a malformed
+body or ``Content-Length``, 500 any failure (its body and log line name the
+request ``seq``). Rule lookups use the directory template (``/pet``), never
+the concrete URL.
 
 The core is transport-neutral (:meth:`ReferenceService.handle_request`); a
 thin stdlib HTTP adapter serves it. Handlers never touch business state
@@ -76,8 +81,8 @@ class Response:
         return json.dumps(self.body).encode("utf-8")
 
 
-def _denial(status: int, reason: str) -> Response:
-    return Response(status, {"code": status, "reason": reason})
+def _error(status: int, reason: str, **extra) -> Response:
+    return Response(status, {"code": status, "reason": reason, **extra})
 
 
 @dataclass
@@ -114,7 +119,7 @@ class ReferenceService:
         self.key = key
         self.clock = clock if clock is not None else _wall_clock
         self.observer = observer
-        self.templates = sorted(rules.paths() | {"/pet", "/user"})
+        self.templates = frozenset(rules.paths())
         self._create_lock = threading.Lock()
         self._seq = 0
         self._seq_lock = threading.Lock()
@@ -150,8 +155,11 @@ class ReferenceService:
         try:
             return self._dispatch(seq, method.lower(), url, headers, body)
         except StorageError:
-            logger.exception("storage failure")
-            return Response(500, {"code": 500, "reason": "storage_failure"})
+            logger.exception("request %d: storage failure", seq)
+            return _error(500, "storage_failure", seq=seq)
+        except Exception:
+            logger.exception("request %d failed", seq)
+            return _error(500, "internal_error", seq=seq)
 
     def _dispatch(self, seq: int, method: str, url: str,
                   headers: dict[str, str], body: bytes | None) -> Response:
@@ -160,18 +168,18 @@ class ReferenceService:
 
         raw_token = lowered.get(TOKEN_HEADER)
         if raw_token is None:
-            return _denial(401, DecisionReason.TOKEN_INVALID.value)
+            return _error(401, DecisionReason.TOKEN_INVALID.value)
         try:
             token = verify_token(raw_token, self.key, now=self.clock())
         except TokenError:
-            return _denial(401, DecisionReason.TOKEN_INVALID.value)
+            return _error(401, DecisionReason.TOKEN_INVALID.value)
 
         if path == "/admin/acl":
             return self._admin_list_acl(token, method)
 
         template, object_id = self._route(path)
         if template is None:
-            return Response(404, {"code": 404, "reason": "unknown_route"})
+            return _error(404, "unknown_route")
 
         if method == "post" and object_id is None:
             return self._create(seq, token, template, body)
@@ -180,17 +188,16 @@ class ReferenceService:
         if object_id is not None and method in _VERB_ACTIONS:
             return self._object_access(seq, token, template, object_id,
                                        _VERB_ACTIONS[method], body)
-        return Response(405, {"code": 405, "reason": "method_not_allowed"})
+        return _error(405, "method_not_allowed")
 
     def _route(self, path: str) -> tuple[str | None, int | None]:
         if path in self.templates:
             return path, None
         head, _, tail = path.rpartition("/")
-        if head in self.templates and tail:
-            try:
-                return head, int(tail)
-            except ValueError:
-                return None, None
+        object_id = _decimal(tail)
+        if head in self.templates and object_id is not None \
+                and str(object_id) == tail:
+            return head, object_id
         return None, None
 
     # ------------------------------------------------------------------
@@ -201,22 +208,22 @@ class ReferenceService:
         self._emit(seq, "decision", path=template, action="create",
                    allowed=decision.allowed, reason=decision.reason.value)
         if not decision.allowed:
-            return _denial(403, decision.reason.value)
+            return _error(403, decision.reason.value)
         document = _parse_body(body)
         if document is None:
-            return Response(400, {"code": 400, "reason": "invalid_body"})
+            return _error(400, "invalid_body")
         with self._create_lock:
             object_id = self.engine.store.next_id(template)
             try:
                 ace = self.engine.record_creation(token, template, object_id)
             except DuplicateObjectError:
-                return Response(500, {"code": 500, "reason": "id_collision"})
+                return _error(500, "id_collision")
             self._emit(seq, "ace_created", path=template, id=object_id,
                        owner=ace.owner)
             stored = {"id": object_id, "path": template, "body": document}
             self.objects.put(stored)
             self._emit(seq, "object_created", path=template, id=object_id)
-        return Response(201, {"id": object_id, **document})
+        return Response(201, _view(object_id, document))
 
     def _object_access(self, seq: int, token, template: str, object_id: int,
                        action: Action, body: bytes | None) -> Response:
@@ -225,25 +232,21 @@ class ReferenceService:
                    allowed=decision.allowed, reason=decision.reason.value,
                    id=object_id)
         if not decision.allowed:
-            return _denial(403, decision.reason.value)
+            return _error(403, decision.reason.value)
 
         stored = self.objects.get(template, object_id)
+        if stored is None:
+            return _error(404, "no_such_object")
         if action is Action.READ:
-            if stored is None:
-                return Response(404, {"code": 404, "reason": "no_such_object"})
-            return Response(200, {"id": object_id, **stored["body"]})
+            return Response(200, _view(object_id, stored["body"]))
         if action is Action.UPDATE:
-            if stored is None:
-                return Response(404, {"code": 404, "reason": "no_such_object"})
             document = _parse_body(body)
             if document is None:
-                return Response(400, {"code": 400, "reason": "invalid_body"})
+                return _error(400, "invalid_body")
             self.objects.put({"id": object_id, "path": template, "body": document})
             self._emit(seq, "object_updated", path=template, id=object_id)
-            return Response(200, {"id": object_id, **document})
+            return Response(200, _view(object_id, document))
         # delete
-        if stored is None:
-            return Response(404, {"code": 404, "reason": "no_such_object"})
         self.objects.delete(template, object_id)
         if self.engine.store.get(template, object_id) is not None:
             self.engine.store.delete(template, object_id)
@@ -251,13 +254,13 @@ class ReferenceService:
         return Response(204)
 
     def _list(self, seq: int, token, template: str) -> Response:
-        permission = effective_permission(self.engine.rules, token.groups,
-                                          template, Action.READ)
+        permission, _ = effective_permission(self.engine.rules, token.groups,
+                                             template, Action.READ)
         reason = _LIST_REASONS[permission].value
         self._emit(seq, "decision", path=template, action="read",
                    allowed=permission is not Permission.DENY, reason=reason)
         if permission is Permission.DENY:
-            return _denial(403, reason)
+            return _error(403, reason)
         if permission is Permission.ALLOW_ANY:
             visible = self.objects.in_path(template)
         else:
@@ -268,19 +271,38 @@ class ReferenceService:
             visible = [stored for stored in
                        (self.objects.get(template, i) for i in ids)
                        if stored is not None]
-        return Response(200, [{"id": stored["id"], **stored["body"]}
+        return Response(200, [_view(stored["id"], stored["body"])
                               for stored in visible])
 
     def _admin_list_acl(self, token, method: str) -> Response:
         if method != "get":
-            return Response(405, {"code": 405, "reason": "method_not_allowed"})
+            return _error(405, "method_not_allowed")
         if ADMIN_GROUP not in token.groups:
-            return _denial(403, DecisionReason.NO_GROUP_RULE.value)
+            return _error(403, DecisionReason.NO_GROUP_RULE.value)
         return Response(200, [ace.to_record() for ace in self.engine.store.entries()])
 
 
 def _wall_clock() -> float:
     return time.time()
+
+
+def _view(object_id: int, body: dict) -> dict:
+    """The reply shape of an object: the server's id first, over any ``id``
+    the client put in the body."""
+    view = {"id": object_id, **body}
+    view["id"] = object_id
+    return view
+
+
+def _decimal(text: str) -> int | None:
+    """``text`` as a non-negative ASCII decimal, else None; ``int()`` alone
+    also takes signs, underscores, spaces and non-ASCII digits."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:      # more digits than int() converts
+            pass
+    return None
 
 
 def _parse_body(body: bytes | None) -> dict | None:
@@ -301,10 +323,13 @@ class _Handler(BaseHTTPRequestHandler):
     service: ReferenceService  # set per server
 
     def _respond(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        response = self.service.handle_request(
-            self.command, self.path, dict(self.headers.items()), body)
+        length = _decimal(self.headers.get("Content-Length", "0").strip())
+        if length is None:
+            response = _error(400, "invalid_content_length")
+        else:
+            body = self.rfile.read(length)
+            response = self.service.handle_request(
+                self.command, self.path, dict(self.headers.items()), body)
         payload = response.payload()
         self.send_response(response.status)
         if payload:

@@ -99,8 +99,8 @@ def verify_token(raw: str, key: bytes, now: float) -> AuthToken:
         expiry = float(claims["exp"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TokenInvalid(f"claims are incomplete or ill-typed: {exc}") from exc
-    if not isinstance(user_id, str):
-        raise TokenInvalid("user_id claim must be a string")
+    if not isinstance(user_id, str) or not isinstance(user_name, str):
+        raise TokenInvalid("user_id and user_name claims must be strings")
     # A string would otherwise pass as an iterable of one-letter groups.
     if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
         raise TokenInvalid("groups claim must be a list of strings")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,20 @@ class TestAclCommands:
                      "--object", "152", "--actor", "123",
                      "--grantee", "456", "--level", "ro"]) == 0
         assert json.loads(capsys.readouterr().out)["users_ro"] == ["456"]
+
+    def test_regrant_of_the_same_level_appends_nothing(self, journal, capsys):
+        argv = ["acl", "grant", "--journal", journal, "--path", "/pets",
+                "--object", "152", "--actor", "123", "--grantee", "456",
+                "--level", "rw"]
+        before = Path(journal).read_bytes()
+        assert main(argv) == 0
+        once = Path(journal).read_bytes()
+        assert once.count(b"\n") == before.count(b"\n") + 1
+        assert main(argv) == 0
+        assert Path(journal).read_bytes() == once
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
+        assert json.loads(second)["users_rw"] == ["123", "456"]
 
     def test_grant_by_non_owner_fails(self, journal, capsys):
         assert main(["acl", "grant", "--journal", journal, "--path", "/pets",

@@ -104,7 +104,7 @@ class TestAuthorizeAccess:
 
     def test_ro_listing_grants_read_but_not_update(self, engine):
         engine.record_creation(claims("123", {"G21"}), "/pet", 7)
-        engine.grant(claims("123", {"G21"}), 7, "/pet", "456", "ro")
+        engine.grant("123", 7, "/pet", "456", "ro")
         read = engine.authorize_access(claims("456", {"G21"}), "/pet",
                                        Action.READ, 7)
         assert read.allowed and read.reason is DecisionReason.ACL_GRANT
@@ -114,7 +114,7 @@ class TestAuthorizeAccess:
 
     def test_rw_listing_grants_update(self, engine):
         engine.record_creation(claims("123", {"G21"}), "/pet", 7)
-        engine.grant(claims("123", {"G21"}), 7, "/pet", "456", "rw")
+        engine.grant("123", 7, "/pet", "456", "rw")
         update = engine.authorize_access(claims("456", {"G21"}), "/pet",
                                          Action.UPDATE, 7)
         assert update.allowed and update.reason is DecisionReason.ACL_GRANT
@@ -128,41 +128,41 @@ class TestAuthorizeAccess:
 class TestGrant:
     def test_owner_grants_ro(self, engine):
         engine.record_creation(claims("123", {"G21"}), "/pet", 152)
-        ace = engine.grant(claims("123", {"G21"}), 152, "/pet", "456", "ro")
+        ace = engine.grant("123", 152, "/pet", "456", "ro")
         assert ace.users_ro == ("456",)
         assert engine.store.get("/pet", 152).users_ro == ("456",)
 
     def test_non_owner_cannot_grant(self, engine):
         engine.record_creation(claims("123", {"G21"}), "/pet", 152)
         with pytest.raises(NotOwnerError):
-            engine.grant(claims("456", {"G21"}), 152, "/pet", "789", "ro")
+            engine.grant("456", 152, "/pet", "789", "ro")
 
     def test_grant_to_self_is_idempotent(self, engine):
         before = engine.record_creation(claims("123", {"G21"}), "/pet", 152)
-        after = engine.grant(claims("123", {"G21"}), 152, "/pet", "123", "rw")
+        after = engine.grant("123", 152, "/pet", "123", "rw")
         assert after == before
 
     def test_owner_cannot_be_downgraded(self, engine):
         before = engine.record_creation(claims("123", {"G21"}), "/pet", 152)
-        after = engine.grant(claims("123", {"G21"}), 152, "/pet", "123", "ro")
+        after = engine.grant("123", 152, "/pet", "123", "ro")
         assert after == before
         assert after.owner in after.users_rw
 
     def test_ro_to_rw_moves_between_lists(self, engine):
         engine.record_creation(claims("123", {"G21"}), "/pet", 152)
-        engine.grant(claims("123", {"G21"}), 152, "/pet", "456", "ro")
-        ace = engine.grant(claims("123", {"G21"}), 152, "/pet", "456", "rw")
+        engine.grant("123", 152, "/pet", "456", "ro")
+        ace = engine.grant("123", 152, "/pet", "456", "rw")
         assert "456" not in ace.users_ro
         assert "456" in ace.users_rw
 
     def test_grant_on_missing_object(self, engine):
         with pytest.raises(NoSuchObjectError):
-            engine.grant(claims("123", {"G21"}), 999, "/pet", "456", "ro")
+            engine.grant("123", 999, "/pet", "456", "ro")
 
     def test_bad_level_rejected(self, engine):
         engine.record_creation(claims("123", {"G21"}), "/pet", 152)
         with pytest.raises(ValueError):
-            engine.grant(claims("123", {"G21"}), 152, "/pet", "456", "admin")
+            engine.grant("123", 152, "/pet", "456", "admin")
 
 
 class TestCreationLinkage:

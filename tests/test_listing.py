@@ -14,7 +14,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bola_guard import AccessControlEntry, issue_token
+from bola_guard import AccessControlEntry
 
 from oracle import default_rule_rows, oracle_access
 from test_service import KEY, NOW, build_service, request, token
@@ -103,9 +103,7 @@ class Run:
             return
         path, object_id = keys[pick % len(keys)]
         ace = self.aces[(path, object_id)]
-        actor = issue_token(ace["owner"], ace["owner"], {CREATOR_GROUP[path]},
-                            3600, KEY, now=NOW)
-        self.service.engine.grant(actor, object_id, path, grantee, level)
+        self.service.engine.grant(ace["owner"], object_id, path, grantee, level)
         if grantee != ace["owner"]:
             ro = [u for u in ace["users_ro"] if u != grantee]
             rw = [u for u in ace["users_rw"] if u != grantee]
@@ -202,8 +200,7 @@ def test_listings_never_fail_while_writers_create_delete_and_grant(tmp_path):
     done = threading.Event()
 
     def writer(user):
-        actor = issue_token(user, user, {"G21"}, 3600, KEY, now=NOW)
-        tok = actor.raw
+        tok = token(user, {"G21"})
         try:
             for i in range(150):
                 response = request(service, "POST", "/pet", tok, {"i": i})
@@ -211,14 +208,14 @@ def test_listings_never_fail_while_writers_create_delete_and_grant(tmp_path):
                 created[user].add(object_id)
                 grantee = readers[i % 2]
                 granted[grantee].add(object_id)
-                service.engine.grant(actor, object_id, "/pet", grantee, "ro")
+                service.engine.grant(user, object_id, "/pet", grantee, "ro")
                 if i % 3 == 0:
                     # Moving a reader between the lists keeps them a reader.
-                    service.engine.grant(actor, object_id, "/pet", grantee, "rw")
+                    service.engine.grant(user, object_id, "/pet", grantee, "rw")
                 if i % 4 == 3:
                     # Add the other reader, then drop an older object.
                     granted[readers[(i + 1) % 2]].add(object_id)
-                    service.engine.grant(actor, object_id, "/pet",
+                    service.engine.grant(user, object_id, "/pet",
                                          readers[(i + 1) % 2], "rw")
                     victim = object_id - 2
                     if victim in created[user]:

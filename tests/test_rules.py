@@ -11,7 +11,9 @@ from bola_guard import (
     effective_permission,
     load_rules,
 )
-from bola_guard.rules import dump_rules, matching_rule
+from bola_guard.rules import dump_rules
+
+from oracle import oracle_access
 
 CRUD = frozenset(Action)
 
@@ -19,32 +21,32 @@ CRUD = frozenset(Action)
 class TestEffectivePermission:
     def test_own_only_when_every_match_requires_ownership(self):
         rules = default_rule_set()
-        assert effective_permission(rules, {"G21"}, "/pet", Action.READ) \
+        assert effective_permission(rules, {"G21"}, "/pet", Action.READ)[0] \
             is Permission.ALLOW_OWN_ONLY
 
     def test_ownership_waiver_overrides_own_only(self):
         rules = default_rule_set()
-        assert effective_permission(rules, {"G21", "G22"}, "/pet", Action.READ) \
-            is Permission.ALLOW_ANY
+        assert effective_permission(rules, {"G21", "G22"}, "/pet",
+                                    Action.READ)[0] is Permission.ALLOW_ANY
 
     def test_no_matching_rule_denies(self):
         rules = default_rule_set()
         assert effective_permission(rules, {"G23"}, "/pet", Action.UPDATE) \
-            is Permission.DENY
+            == (Permission.DENY, None)
 
     def test_empty_groups_deny(self):
         assert effective_permission(default_rule_set(), set(), "/pet",
-                                    Action.READ) is Permission.DENY
+                                    Action.READ) == (Permission.DENY, None)
 
     def test_override_is_per_action(self):
         # The read waiver of G22 must not widen update.
         rules = default_rule_set()
         assert effective_permission(rules, {"G21", "G22"}, "/pet",
-                                    Action.UPDATE) is Permission.ALLOW_OWN_ONLY
+                                    Action.UPDATE)[0] is Permission.ALLOW_OWN_ONLY
 
-    def test_matching_rule_prefers_the_waiving_rule(self):
+    def test_resolved_rule_prefers_the_waiving_rule(self):
         rules = default_rule_set()
-        rule = matching_rule(rules, {"G21", "G22"}, "/pet", Action.READ)
+        _, rule = effective_permission(rules, {"G21", "G22"}, "/pet", Action.READ)
         assert rule.group == "G22"
         assert not rule.ownership_required
 
@@ -92,7 +94,7 @@ class TestRuleFiles:
                         '"actions": ["read"], "ownership": false}]',
                         encoding="utf-8")
         rules = load_rules(path)
-        assert effective_permission(rules, {"G21"}, "/pet", Action.READ) \
+        assert effective_permission(rules, {"G21"}, "/pet", Action.READ)[0] \
             is Permission.ALLOW_ANY
 
     def test_unknown_action_name_rejected(self, tmp_path):
@@ -144,6 +146,32 @@ class TestMonotonicity:
            st.sampled_from(list(Action)))
     def test_adding_a_group_never_narrows_permission(self, rules, groups, extra,
                                                      path, action):
-        before = effective_permission(rules, groups, path, action)
-        after = effective_permission(rules, groups | {extra}, path, action)
+        before, _ = effective_permission(rules, groups, path, action)
+        after, _ = effective_permission(rules, groups | {extra}, path, action)
         assert _WIDTH[after] >= _WIDTH[before]
+
+
+class TestResolvedRule:
+    @given(rule_sets(),
+           st.frozensets(st.sampled_from(["G11", "G21", "G22", "G23", "G31"]),
+                         max_size=4),
+           st.sampled_from(["/pet", "/user"]),
+           st.sampled_from(list(Action)))
+    def test_permission_matches_oracle_and_rule_is_the_first_widest(
+            self, rules, groups, path, action):
+        permission, rule = effective_permission(rules, groups, path, action)
+        rows = [{"path": r.path, "group": r.group,
+                 "actions": {a.value for a in r.actions},
+                 "ownership": r.ownership_required} for r in rules]
+        # An own-only permission lets the owner in and no one else; a
+        # waiving one lets anyone in; a denial no one.
+        ace = {"owner": "owner", "users_ro": [], "users_rw": ["owner"]}
+        for user, allowed in (("owner", permission is not Permission.DENY),
+                              ("stranger", permission is Permission.ALLOW_ANY)):
+            assert oracle_access(rows, set(groups), path, action.value, user,
+                                 ace) is allowed
+        matching = [r for r in rules if r.path == path and r.group in groups
+                    and action in r.actions]
+        waiving = [r for r in matching if not r.ownership_required]
+        expected = (waiving or matching or [None])[0]
+        assert rule is expected

@@ -1,4 +1,6 @@
 import json
+import logging
+import socket
 import threading
 from pathlib import Path
 
@@ -7,6 +9,10 @@ import requests
 
 from bola_guard import (
     AclStore,
+    Action,
+    GroupRule,
+    GroupRuleSet,
+    NoSuchObjectError,
     ObjectStore,
     ReferenceService,
     ServiceConfig,
@@ -38,12 +44,13 @@ def service(tmp_path, events):
     svc.close()
 
 
-def build_service(tmp_path, events=None, clock=lambda: NOW):
+def build_service(tmp_path, events=None, clock=lambda: NOW, rules=None):
     acl = AclStore.open(tmp_path / "acl.ndjson")
     objects = ObjectStore.open(tmp_path / "objects.ndjson")
     observer = (lambda event, payload: events.append((event, payload))) \
         if events is not None else None
-    return ReferenceService(default_rule_set(), KEY, acl, objects,
+    rules = default_rule_set() if rules is None else rules
+    return ReferenceService(rules, KEY, acl, objects,
                             clock=clock, observer=observer)
 
 
@@ -155,6 +162,33 @@ class TestObjectAccess:
         assert request(service, "GET", "/stock/1",
                        token("9", {"G21"})).status == 404
 
+    def test_routes_are_the_rule_tables_paths(self, tmp_path):
+        rules = GroupRuleSet([GroupRule("/pet", "G21", frozenset(Action), True)])
+        service = build_service(tmp_path, rules=rules)
+        try:
+            tok = token("123", {"G11", "G21"})
+            assert request(service, "POST", "/pet", tok, {}).status == 201
+            for method, url in (("GET", "/user"), ("POST", "/user"),
+                                ("GET", "/user/1")):
+                response = request(service, method, url, tok, {})
+                assert (response.status, response.body["reason"]) == \
+                    (404, "unknown_route")
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("tail", ["+1", "01", " 1", "1 ", "1_0", "\u0661",
+                                      "\uff11", "-1", "1.0", "0x1", "%31",
+                                      "1" * 5000])
+    def test_only_the_canonical_id_spelling_routes(self, service, tail):
+        owner = token("123", {"G21"})
+        for _ in range(10):
+            request(service, "POST", "/pet", owner, {})
+        for method in ("GET", "PUT", "DELETE"):
+            response = request(service, method, f"/pet/{tail}", owner, {})
+            assert (response.status, response.body["reason"]) == \
+                (404, "unknown_route")
+        assert len(service.objects.in_path("/pet")) == 10
+
     def test_unmapped_method_is_405(self, service):
         assert service.handle_request(
             "PATCH", "/pet/1", {"api_key": token("9", {"G21"})}, None
@@ -171,6 +205,50 @@ class TestObjectAccess:
         reader = request(service, "GET", "/pet", token("9", {"G22"}))
         assert [o["name"] for o in reader.body] == ["a", "b"]
         assert request(service, "GET", "/pet", token("9", {"G23"})).status == 403
+
+
+class TestObjectViews:
+    def test_the_server_id_wins_over_a_body_id(self, service):
+        owner = token("123", {"G21"})
+        created = request(service, "POST", "/pet", owner, {"id": 999, "name": "x"})
+        assert (created.status, created.body) == (201, {"id": 1, "name": "x"})
+        assert request(service, "GET", "/pet/1", owner).body == \
+            {"id": 1, "name": "x"}
+        assert request(service, "GET", "/pet", owner).body == \
+            [{"id": 1, "name": "x"}]
+        assert request(service, "GET", "/pet", token("9", {"G22"})).body == \
+            [{"id": 1, "name": "x"}]
+        updated = request(service, "PUT", "/pet/1", owner, {"id": 5, "name": "y"})
+        assert updated.body == {"id": 1, "name": "y"}
+        assert request(service, "GET", "/pet/1", owner).body == \
+            {"id": 1, "name": "y"}
+        assert request(service, "GET", "/pet/999", owner).status == 403
+
+
+class TestUnexpectedErrors:
+    def test_a_lost_delete_race_is_a_logged_500_with_its_seq(self, service,
+                                                             caplog):
+        owner = token("123", {"G21"})
+        pid = request(service, "POST", "/pet", owner, {}).body["id"]
+        real_get = service.objects.get
+
+        def get_then_lose_the_race(path, object_id):
+            stored = real_get(path, object_id)
+            service.objects.get = real_get
+            # A second DELETE of the same object completes in between.
+            assert request(service, "DELETE", f"/pet/{pid}", owner).status == 204
+            return stored
+
+        service.objects.get = get_then_lose_the_race
+        with caplog.at_level(logging.ERROR, logger="bola_guard.service"):
+            response = request(service, "DELETE", f"/pet/{pid}", owner)
+        # The racing DELETE ran inside this request, so it took the next seq.
+        assert response.status == 500
+        assert response.body == {"code": 500, "reason": "internal_error",
+                                 "seq": 2}
+        [record] = caplog.records
+        assert "request 2 failed" in record.getMessage()
+        assert record.exc_info[0] is NoSuchObjectError
 
 
 class TestAdminEndpoint:
@@ -297,3 +375,55 @@ class TestConfig:
             assert Path(f"{tmp_path}/acl.ndjson.objects").exists()
         finally:
             service.close()
+
+
+@pytest.fixture
+def http_port(tmp_path):
+    service = build_service(tmp_path)
+    server = make_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address[1]
+    server.shutdown()
+    server.server_close()
+    service.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def raw_exchange(port, head: str, body: bytes = b"") -> bytes:
+    """Send one request over a plain socket, keep the socket open for
+    writing, and return everything the server sends within 5 s."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head.encode("utf-8") + b"\r\n\r\n" + body)
+        received = b""
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except socket.timeout:
+            pass
+    return received
+
+
+class TestHttpBoundary:
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1", "+5", "1_0", "",
+                                        "5x", "\u0665", "9" * 5000])
+    def test_malformed_content_length_is_400(self, http_port, length):
+        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
+                f"api_key: {token('123', {'G21'})}\r\n"
+                f"Content-Length: {length}")
+        reply = raw_exchange(http_port, head, b"{}")
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1:2] == [b"400"], reply
+        assert json.loads(rest.partition(b"\r\n\r\n")[2]) == \
+            {"code": 400, "reason": "invalid_content_length"}
+
+    def test_well_formed_content_length_still_creates(self, http_port):
+        body = b'{"name": "lucky"}'
+        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
+                f"api_key: {token('123', {'G21'})}\r\n"
+                f"Content-Length: {len(body)}")
+        reply = raw_exchange(http_port, head, body)
+        assert reply.split(b"\r\n", 1)[0].split()[1] == b"201"
+        assert json.loads(reply.partition(b"\r\n\r\n")[2]) == \
+            {"id": 1, "name": "lucky"}

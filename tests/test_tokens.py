@@ -140,3 +140,10 @@ class TestClaimTypes:
         with pytest.raises(TokenInvalid):
             verify_token(signed({**self.CLAIMS, "user_id": user_id}), KEY,
                          now=NOW)
+
+    @pytest.mark.parametrize("user_name", [12345, None, ["alice"], {"n": "a"},
+                                           False])
+    def test_user_name_must_be_a_string(self, user_name):
+        with pytest.raises(TokenInvalid):
+            verify_token(signed({**self.CLAIMS, "user_name": user_name}), KEY,
+                         now=NOW)
