@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -44,6 +45,18 @@ def _load_document(path: str):
     fmt = "json" if path.endswith(".json") else "yaml"
     text = Path(path).read_text(encoding="utf-8")
     return parse_document(text, fmt)
+
+
+def _lifetime(text: str) -> float:
+    """A ``--ttl`` value: seconds, positive and finite."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not (seconds > 0 and math.isfinite(seconds)):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a positive, finite number of seconds")
+    return seconds
 
 
 def _signing_key(args) -> bytes:
@@ -205,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--user", required=True, help="user id")
     t.add_argument("--name", required=True, help="display name")
     t.add_argument("--groups", default="", help="comma-separated group ids")
-    t.add_argument("--ttl", type=float, default=3600.0, help="lifetime in seconds")
+    t.add_argument("--ttl", type=_lifetime, default=3600.0, help="lifetime in seconds")
     t.add_argument("--key", help="signing key file (or set BOLA_GUARD_KEY)")
     common(t)
     t.set_defaults(func=cmd_token_issue)
@@ -247,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (OSError, DocumentSyntaxError, StructureError) as exc:
+    except (OSError, UnicodeDecodeError, DocumentSyntaxError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (NotOwnerError, NoSuchObjectError, BolaGuardError) as exc:

@@ -18,13 +18,18 @@ markers (any disagreement is an error); without a manifest it reconstructs
 routes from the ``# route:`` headers, ``def handle_<verb>`` lines, and
 markers. Recovered documents always use the root-level design, with a minimal
 object schema per bound path.
+
+Both directions work in memory: :func:`render_stub` builds the tree as a
+``{relpath: text}`` map and :func:`recover_document` reads the manifest text
+and handler texts back, so :func:`roundtrip_check` writes nothing unless it is
+given a directory. :func:`spec_to_stub` and :func:`stub_to_spec` are the
+on-disk wrappers around them.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import tempfile
 import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,7 +56,7 @@ from .actions import VERB_ORDER
 PROVIDER_MODULE = "privilege_provider"
 MANIFEST_NAME = "manifest.json"
 HANDLERS_DIR = "handlers"
-DESCRIPTOR_PATH = Path(PROVIDER_MODULE) / "provider.descriptor"
+DESCRIPTOR_PATH = f"{PROVIDER_MODULE}/provider.descriptor"
 
 MARKER_RE = re.compile(
     r'^\s*# @object_privilege\(path="([^"]*)", token_in="(header|body)", '
@@ -204,17 +209,16 @@ def path_slug(path: str) -> str:
     return slug or "root"
 
 
-def spec_to_stub(doc: EssDocument, out_dir: str | Path) -> StubManifest:
-    """Write the server stub tree for a document with no error findings."""
+def render_stub(doc: EssDocument) -> tuple[StubManifest, dict[str, str]]:
+    """The server stub tree of a document with no error findings, as its
+    manifest and a ``{relpath: text}`` map; a later route whose slug collides
+    with an earlier one replaces its handler file, as on disk."""
     findings = validate(doc)
     if has_errors(findings):
         raise ValidationFailedError([f for f in findings if f.severity == "error"])
 
     manifest = manifest_from_document(doc)
-    out = Path(out_dir)
-    (out / HANDLERS_DIR).mkdir(parents=True, exist_ok=True)
-    (out / MANIFEST_NAME).write_text(manifest.to_json(), encoding="utf-8")
-
+    files = {MANIFEST_NAME: manifest.to_json()}
     for route in manifest.routes:
         lines = [f"# route: {route.path}",
                  "# server stub skeleton; fill in each handler.", ""]
@@ -224,8 +228,7 @@ def spec_to_stub(doc: EssDocument, out_dir: str | Path) -> StubManifest:
             lines.append(f"def handle_{verb}(request):")
             lines.append(f'    raise NotImplementedError("{verb} {route.path}")')
             lines.append("")
-        (out / HANDLERS_DIR / f"{path_slug(route.path)}.stub").write_text(
-            "\n".join(lines), encoding="utf-8")
+        files[f"{HANDLERS_DIR}/{path_slug(route.path)}.stub"] = "\n".join(lines)
 
     if manifest.module_includes:
         configurations = sorted({
@@ -239,10 +242,20 @@ def spec_to_stub(doc: EssDocument, out_dir: str | Path) -> StubManifest:
                 {"token_in": loc, "groups": groups, "user_id": user_id}
                 for loc, groups, user_id in configurations],
         }
-        target = out / DESCRIPTOR_PATH
+        files[DESCRIPTOR_PATH] = yaml.safe_dump(descriptor, sort_keys=False)
+    return manifest, files
+
+
+def spec_to_stub(doc: EssDocument, out_dir: str | Path) -> StubManifest:
+    """Write the server stub tree for a document with no error findings;
+    ``handlers/`` exists even when the document has no route."""
+    manifest, files = render_stub(doc)
+    out = Path(out_dir)
+    (out / HANDLERS_DIR).mkdir(parents=True, exist_ok=True)
+    for relpath, text in files.items():
+        target = out / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(yaml.safe_dump(descriptor, sort_keys=False),
-                          encoding="utf-8")
+        target.write_text(text, encoding="utf-8")
     return manifest
 
 
@@ -257,12 +270,11 @@ class _ScannedFile:
     markers: tuple[PrivilegeProviderMarker, ...]
 
 
-def _scan_handler_file(path: Path) -> _ScannedFile:
+def _scan_handler(label: str, text: str) -> _ScannedFile:
     route = None
     methods: list[str] = []
     markers: list[PrivilegeProviderMarker] = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                   start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         header = ROUTE_HEADER_RE.match(line)
         if header and route is None:
             route = header.group(1)
@@ -270,7 +282,7 @@ def _scan_handler_file(path: Path) -> _ScannedFile:
         if MARKER_LIKE_RE.match(line):
             matched = MARKER_RE.match(line)
             if matched is None:
-                raise MarkerSyntaxError(str(path), line_no, line)
+                raise MarkerSyntaxError(label, line_no, line)
             markers.append(PrivilegeProviderMarker(
                 path=matched.group(1),
                 token_location=matched.group(2),
@@ -295,11 +307,20 @@ def stub_to_spec(in_dir: str | Path) -> EssDocument:
     if not manifest_file.is_file() and not handler_files:
         raise NoStubFoundError(f"{in_dir}: no {MANIFEST_NAME} and no "
                                f"{HANDLERS_DIR}/*.stub sources")
+    manifest_text = (manifest_file.read_text(encoding="utf-8")
+                     if manifest_file.is_file() else None)
+    return recover_document(manifest_text, [
+        (str(f), f.read_text(encoding="utf-8")) for f in handler_files])
 
-    scanned = [_scan_handler_file(f) for f in handler_files]
 
-    if manifest_file.is_file():
-        manifest = StubManifest.from_json(manifest_file.read_text(encoding="utf-8"))
+def recover_document(manifest_text: str | None,
+                     handlers: list[tuple[str, str]]) -> EssDocument:
+    """The document a stub describes, from its manifest text (None when it
+    has none) and the ``(label, text)`` pairs of its handler files in sorted
+    order; a label names its file in a :class:`MarkerSyntaxError`."""
+    scanned = [_scan_handler(label, text) for label, text in handlers]
+    if manifest_text is not None:
+        manifest = StubManifest.from_json(manifest_text)
         _cross_check(manifest, scanned)
         return document_from_manifest(manifest)
     return document_from_manifest(_manifest_from_scan(scanned))
@@ -499,18 +520,25 @@ def ess_facts(doc: EssDocument) -> dict[str, dict | None]:
 
 def stub_matches_spec(doc: EssDocument, stub_dir: str | Path) -> bool:
     """True iff the stub recovers to a document with the same facts as ``doc``."""
+    return _recovers_facts(doc, lambda: stub_to_spec(stub_dir))
+
+
+def _recovers_facts(doc: EssDocument, recover) -> bool:
     try:
-        recovered = stub_to_spec(stub_dir)
+        recovered = recover()
     except (NoStubFoundError, MarkerSyntaxError, StubInconsistentError):
         return False
     return ess_facts(doc) == ess_facts(recovered)
 
 
 def roundtrip_check(doc: EssDocument, out_dir: str | Path | None = None) -> bool:
-    """Generate a stub from ``doc`` and verify the reverse direction."""
+    """Generate a stub from ``doc`` and verify the reverse direction: in
+    memory, or through ``out_dir`` on disk when one is given."""
     if out_dir is not None:
         spec_to_stub(doc, out_dir)
         return stub_matches_spec(doc, out_dir)
-    with tempfile.TemporaryDirectory(prefix="stub-roundtrip-") as tmp:
-        spec_to_stub(doc, tmp)
-        return stub_matches_spec(doc, tmp)
+    _, files = render_stub(doc)
+    handlers = sorted((relpath, text) for relpath, text in files.items()
+                      if relpath.startswith(f"{HANDLERS_DIR}/"))
+    return _recovers_facts(
+        doc, lambda: recover_document(files[MANIFEST_NAME], handlers))

@@ -300,6 +300,19 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
 # Parsing
 
 
+def _load_yaml(text: str) -> Any:
+    """Decode YAML text with libyaml when PyYAML was built with it, else with
+    the pure-Python loader. Malformed text raises :class:`yaml.YAMLError`.
+    Both build the same safe tree from ordinary documents. They part only on
+    edge cases: libyaml accepts a tab after a plain scalar, which the pure
+    loader rejects, and reads a bare ``!`` tag as ``''`` rather than None."""
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except UnicodeEncodeError as exc:
+        # libyaml reads UTF-8: a lone surrogate, which the pure reader rejects.
+        raise yaml.YAMLError(f"unencodable character: {exc}") from exc
+
+
 def parse_document(text: str, format: str = "yaml") -> EssDocument:
     """Parse serialized YAML/JSON into an :class:`EssDocument`.
 
@@ -314,7 +327,7 @@ def parse_document(text: str, format: str = "yaml") -> EssDocument:
         if format == "json":
             tree = json.loads(text)
         else:
-            tree = yaml.safe_load(text)
+            tree = _load_yaml(text)
     except (yaml.YAMLError, json.JSONDecodeError) as exc:
         raise DocumentSyntaxError(f"malformed {format} document: {exc}") from exc
     if tree is None:

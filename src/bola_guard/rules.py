@@ -21,6 +21,7 @@ import yaml
 
 from .actions import Action, parse_action
 from .errors import RuleSetError
+from .model import _load_yaml
 
 
 class Permission(Enum):
@@ -94,7 +95,7 @@ def load_rules(path: str | Path) -> GroupRuleSet:
     """Load a rule file (YAML or JSON list of rule objects)."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = yaml.safe_load(text)
+        data = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise RuleSetError(f"malformed rule file {path}: {exc}") from exc
     if data is None:

@@ -19,7 +19,10 @@ Status codes: 401 token failures, 403 denied decisions (body
 object missing, 201/200/204 for create/read-update/delete, 400 a malformed
 body or ``Content-Length``, 500 any failure (its body and log line name the
 request ``seq``). Rule lookups use the directory template (``/pet``), never
-the concrete URL.
+the concrete URL. The HTTP adapter answers a ``Content-Length`` above
+:data:`MAX_BODY_BYTES` with 413 without reading the body, a body that stalls
+for :data:`BODY_IDLE_TIMEOUT_S` with 408, and any ``Transfer-Encoding`` with
+501; each of these replies closes the connection.
 
 The core is transport-neutral (:meth:`ReferenceService.handle_request`); a
 thin stdlib HTTP adapter serves it. Handlers never touch business state
@@ -43,7 +46,8 @@ import yaml
 
 from .actions import VERB_TO_ACTION, Action
 from .engine import AuthzEngine, DecisionReason
-from .errors import DuplicateObjectError, StorageError, TokenError
+from .errors import DocumentSyntaxError, StorageError, StructureError, TokenError
+from .model import _load_yaml
 from .rules import (
     GroupRuleSet,
     Permission,
@@ -58,6 +62,8 @@ logger = logging.getLogger(__name__)
 
 TOKEN_HEADER = "api_key"
 ADMIN_GROUP = "admin"
+MAX_BODY_BYTES = 1 << 20
+BODY_IDLE_TIMEOUT_S = 2.0
 
 _VERB_ACTIONS = {verb: action for verb, action in VERB_TO_ACTION.items()
                  if action is not Action.CREATE}
@@ -96,15 +102,29 @@ class ServiceConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ServiceConfig":
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-        return cls(
-            port=int(data.get("port", 8080)),
-            host=data.get("host", "127.0.0.1"),
-            key_path=data.get("key_path", ""),
-            rules_path=data.get("rules_path"),
-            journal_path=data.get("journal_path", "acl.ndjson"),
-            objects_path=data.get("objects_path"),
-        )
+        """Read a YAML config file; a missing or null key takes its default."""
+        try:
+            data = _load_yaml(Path(path).read_text(encoding="utf-8"))
+        except yaml.YAMLError as exc:
+            raise DocumentSyntaxError(f"malformed config file {path}: {exc}") from exc
+        if data is None:
+            data = {}
+        if not isinstance(data, dict):
+            raise StructureError(f"config file {path} must contain a mapping")
+        try:
+            port = int(data.get("port", 8080))
+        except (TypeError, ValueError):
+            port = -1
+        if not 0 <= port <= 65535:
+            raise StructureError(f"config file {path}: port must be an "
+                                 f"integer from 0 to 65535")
+        strings = {key: data[key] for key in ("host", "key_path", "rules_path",
+                                              "journal_path", "objects_path")
+                   if data.get(key) is not None}
+        for key, value in strings.items():
+            if not isinstance(value, str):
+                raise StructureError(f"config file {path}: {key} must be a string")
+        return cls(port=port, **strings)
 
 
 class ReferenceService:
@@ -213,11 +233,9 @@ class ReferenceService:
         if document is None:
             return _error(400, "invalid_body")
         with self._create_lock:
+            # Ids come from next_id under this lock, so no entry holds one yet.
             object_id = self.engine.store.next_id(template)
-            try:
-                ace = self.engine.record_creation(token, template, object_id)
-            except DuplicateObjectError:
-                return _error(500, "id_collision")
+            ace = self.engine.record_creation(token, template, object_id)
             self._emit(seq, "ace_created", path=template, id=object_id,
                        owner=ace.owner)
             stored = {"id": object_id, "path": template, "body": document}
@@ -323,11 +341,12 @@ class _Handler(BaseHTTPRequestHandler):
     service: ReferenceService  # set per server
 
     def _respond(self) -> None:
-        length = _decimal(self.headers.get("Content-Length", "0").strip())
-        if length is None:
-            response = _error(400, "invalid_content_length")
+        body = self._read_body()
+        if isinstance(body, Response):
+            response = body
+            # The body, or part of it, is still in the socket.
+            self.close_connection = True
         else:
-            body = self.rfile.read(length)
             response = self.service.handle_request(
                 self.command, self.path, dict(self.headers.items()), body)
         payload = response.payload()
@@ -340,6 +359,25 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.write(payload)
 
     do_GET = do_POST = do_PUT = do_DELETE = _respond
+
+    def _read_body(self) -> bytes | Response:
+        """The request body, or the reply that refuses it."""
+        if self.headers.get("Transfer-Encoding") is not None:
+            return _error(501, "transfer_encoding_unsupported")
+        length = _decimal(self.headers.get("Content-Length", "0").strip())
+        if length is None:
+            return _error(400, "invalid_content_length")
+        if length > MAX_BODY_BYTES:
+            return _error(413, "body_too_large")
+        if not length:
+            return b""
+        self.connection.settimeout(BODY_IDLE_TIMEOUT_S)
+        try:
+            return self.rfile.read(length)
+        except TimeoutError:
+            return _error(408, "body_timeout")
+        finally:
+            self.connection.settimeout(None)
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         logger.debug("%s - %s", self.address_string(), format % args)

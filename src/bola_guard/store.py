@@ -33,7 +33,7 @@ import logging
 import os
 import threading
 from pathlib import Path
-from typing import Generic, Iterator, TypeVar
+from typing import Generic, TypeVar
 
 from .acl import AccessControlEntry
 from .errors import CorruptJournalError, NoSuchObjectError, StorageError
@@ -196,9 +196,6 @@ class JournalStore(Generic[T]):
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.copy().values())
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self.entries())
 
     def next_id(self, path: str) -> int:
         """Next monotonic object id for a path (1-based; replay-derived)."""

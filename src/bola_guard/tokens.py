@@ -14,6 +14,7 @@ import binascii
 import hashlib
 import hmac
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import TokenExpired, TokenInvalid
@@ -48,9 +49,9 @@ class AuthToken:
 def issue_token(user_id: str, user_name: str, groups: frozenset[str] | set[str],
                 ttl: float, key: bytes, now: float) -> AuthToken:
     """Sign a token valid for ``ttl`` seconds from ``now``."""
-    if ttl <= 0:
-        raise ValueError("ttl must be positive")
     expiry = now + ttl
+    if not (ttl > 0 and math.isfinite(expiry)):
+        raise ValueError("ttl must be positive and the expiry finite")
     claims = {
         "user_id": user_id,
         "user_name": user_name,
@@ -104,6 +105,9 @@ def verify_token(raw: str, key: bytes, now: float) -> AuthToken:
     # A string would otherwise pass as an iterable of one-letter groups.
     if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
         raise TokenInvalid("groups claim must be a list of strings")
+    # NaN would never compare as expired, and infinity never expires.
+    if not math.isfinite(expiry):
+        raise TokenInvalid("exp claim must be a finite number")
     if now >= expiry:
         raise TokenExpired(f"token expired at {expiry}")
     return AuthToken(user_id=user_id, user_name=user_name,

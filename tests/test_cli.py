@@ -46,6 +46,12 @@ class TestValidateCommand:
         bad.write_text("paths: [unclosed", encoding="utf-8")
         assert main(["validate", str(bad)]) == 3
 
+    def test_non_utf8_document_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes(b"openapi: 3.0.3\ninfo: {title: caf\xe9}\npaths: {}\n")
+        assert main(["validate", str(bad)]) == 3
+        assert "utf-8" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def test_plain_output(self, capsys):
@@ -110,6 +116,14 @@ class TestTokenCommand:
     def test_issue_without_key_exits_3(self, capsys, monkeypatch):
         monkeypatch.delenv("BOLA_GUARD_KEY", raising=False)
         assert main(["token", "issue", "--user", "1", "--name", "x"]) == 3
+
+    @pytest.mark.parametrize("ttl", ["nan", "inf", "-inf", "-1", "0", "abc"])
+    def test_ttl_must_be_positive_and_finite(self, tmp_path, capsys, ttl):
+        key_file = tmp_path / "signing.key"
+        key_file.write_bytes(b"cli-test-key")
+        assert main(["token", "issue", "--user", "1", "--name", "x", "--json",
+                     f"--ttl={ttl}", "--key", str(key_file)]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestAclCommands:
@@ -177,3 +191,37 @@ class TestUsage:
 
     def test_no_arguments_exits_2(self, capsys):
         assert main([]) == 2
+
+
+class TestServeConfig:
+    @pytest.mark.parametrize("text", [
+        "port: [8080\n",            # malformed YAML
+        "- a\n",                    # root is a list
+        "port: abc\n",
+        "port: 70000\n",
+        "host: [127.0.0.1]\n",
+    ])
+    def test_bad_config_exits_3_without_binding(self, tmp_path, monkeypatch,
+                                                capsys, text):
+        from bola_guard import service
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bound a port for a bad config")
+        monkeypatch.setattr(service, "make_server", refuse)
+        config = tmp_path / "service.yaml"
+        config.write_text(text, encoding="utf-8")
+        assert main(["serve", "--config", str(config)]) == 3
+        assert "config file" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_3(self, tmp_path, capsys):
+        config = tmp_path / "service.yaml"
+        config.write_bytes(b"host: caf\xe9\n")
+        assert main(["serve", "--config", str(config)]) == 3
+
+    def test_null_keys_take_their_defaults(self, tmp_path):
+        from bola_guard.service import ServiceConfig
+
+        config = tmp_path / "service.yaml"
+        config.write_text("port: 0\nhost: null\nrules_path: null\n",
+                          encoding="utf-8")
+        assert ServiceConfig.load(config) == ServiceConfig(port=0)

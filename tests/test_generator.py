@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +26,7 @@ from bola_guard.generator import (
     document_from_manifest,
     ess_facts,
     manifest_from_document,
+    render_stub,
     stub_matches_spec,
 )
 from bola_guard.validator import classify_design
@@ -235,6 +238,66 @@ class TestRoundTrip:
             out = tmp_path / name
             spec_to_stub(fixture_doc(name), out)
             assert validate(stub_to_spec(out)) == []
+
+
+def _bound(path: str) -> RouteSpec:
+    return RouteSpec(path, ("post", "get"), ObjectAuthAttachment(
+        "X-objectAuthScheme", "header", "string", "string", "id"))
+
+
+# Every fixture, plus documents whose stubs are edge cases: two paths whose
+# handler files share a slug, bound or not, and documents with no bound route
+# or no route at all.
+IN_MEMORY_CASES = {
+    **{name: (lambda name=name: fixture_doc(name)) for name in CORPUS},
+    "slug_collision_bound": lambda: document_from_manifest(StubManifest(
+        (_bound("/a-b"), _bound("/a_b")), ("privilege_provider",))),
+    "slug_collision_unbound": lambda: document_from_manifest(StubManifest(
+        (RouteSpec("/a-b", ("get",), None), _bound("/a_b")),
+        ("privilege_provider",))),
+    "no_bound_route": lambda: document_from_manifest(StubManifest(
+        (RouteSpec("/a-b", ("get",), None), RouteSpec("/a_b", ("put",), None)),
+        ())),
+    "no_route": lambda: parse_document("openapi: 3.0.3\npaths: {}\n"),
+}
+
+
+def _tree_bytes(root):
+    return {f.relative_to(root).as_posix(): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+class TestInMemoryStub:
+    @pytest.mark.parametrize("case", IN_MEMORY_CASES)
+    def test_rendered_map_is_the_written_tree(self, case, tmp_path):
+        doc = IN_MEMORY_CASES[case]()
+        manifest, files = render_stub(doc)
+        assert spec_to_stub(doc, tmp_path) == manifest
+        assert _tree_bytes(tmp_path) == \
+            {relpath: text.encode("utf-8") for relpath, text in files.items()}
+        assert (tmp_path / "handlers").is_dir()
+
+    @pytest.mark.parametrize("case", IN_MEMORY_CASES)
+    def test_in_memory_round_trip_agrees_with_disk(self, case, tmp_path):
+        doc = IN_MEMORY_CASES[case]()
+        assert roundtrip_check(doc) == roundtrip_check(doc, tmp_path)
+
+    def test_a_slug_collision_breaks_both_round_trips(self, tmp_path):
+        doc = IN_MEMORY_CASES["slug_collision_bound"]()
+        _, files = render_stub(doc)
+        # One file, holding the later route's handlers.
+        assert [p for p in files if p.startswith("handlers/")] == ["handlers/a_b.stub"]
+        assert "# route: /a_b" in files["handlers/a_b.stub"]
+        assert not roundtrip_check(doc)
+        assert not roundtrip_check(doc, tmp_path)
+
+    def test_round_trip_writes_nothing(self, root_doc, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the in-memory round trip touched the disk")
+        for name in ("write_text", "write_bytes", "mkdir", "open"):
+            monkeypatch.setattr(Path, name, refuse)
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        assert roundtrip_check(root_doc)
 
 
 class TestGoldenEmission:

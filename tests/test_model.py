@@ -1,5 +1,9 @@
+import math
+from unittest import mock
+
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from bola_guard import (
     CyclicRefError,
@@ -12,7 +16,7 @@ from bola_guard import (
     parse_document,
     resolve_ref,
 )
-from bola_guard.model import build_document, resolved_claims
+from bola_guard.model import _load_yaml, build_document, resolved_claims
 
 from conftest import CORPUS, fixture_doc, fixture_text
 
@@ -184,3 +188,151 @@ class TestEmit:
     def test_unknown_format_rejected(self, root_doc):
         with pytest.raises(ValueError):
             emit_document(root_doc, "toml")
+
+
+LOADERS = [pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml"),
+           pytest.param(yaml.SafeLoader, id="pure")]
+
+
+def _comparable(node):
+    """``node`` with NaN, which equals nothing, spelled as a string."""
+    if isinstance(node, float) and math.isnan(node):
+        return "NaN"
+    if isinstance(node, dict):
+        return {_comparable(k): _comparable(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_comparable(v) for v in node]
+    return node
+
+
+def _both_loaders(text):
+    return (_comparable(yaml.load(text, Loader=yaml.CSafeLoader)),
+            _comparable(yaml.load(text, Loader=yaml.SafeLoader)))
+
+
+# Plain scalars whose type the YAML 1.1 resolver decides: booleans, nulls,
+# base-prefixed and sexagesimal numbers, special floats and timestamps.
+_TRICKY_SCALARS = ["yes", "No", "on", "OFF", "y", "n", "true", "False", "null",
+                   "Null", "~", "", "0x1F", "0o17", "017", "0b101", "1_000",
+                   "+12", "-0", "1e3", "1.5e-3", ".5", ".inf", "-.Inf", ".NaN",
+                   "190:20:30", "1:30.5", "2001-12-14", "2001-12-14t21:59:43.10-05:00",
+                   "'quoted yes'", '"esc\\u00e9"', "!!str 12", "plain text", "/pet"]
+
+_keys = st.text(alphabet="abcxyz_", min_size=1, max_size=6)
+_scalars = st.sampled_from(_TRICKY_SCALARS)
+
+
+@st.composite
+def _merged_documents(draw):
+    """Mappings built from tricky scalars, with anchored bases that later
+    entries reuse by alias and by merge key (``<<``)."""
+    lines = []
+    bases = []
+    for i in range(draw(st.integers(0, 3))):
+        lines.append(f"base{i}: &b{i}")
+        for key in draw(st.lists(_keys, min_size=1, max_size=4, unique=True)):
+            lines.append(f"  {key}: {draw(_scalars)}")
+        bases.append(i)
+    for key in draw(st.lists(_keys, max_size=6, unique=True)):
+        kind = draw(st.sampled_from(["scalar", "alias", "merge", "list"]))
+        if kind == "alias" and bases:
+            lines.append(f"{key}: *b{draw(st.sampled_from(bases))}")
+        elif kind == "merge" and bases:
+            merged = draw(st.lists(st.sampled_from(bases), min_size=1, unique=True))
+            lines.append(f"{key}:")
+            lines.append("  <<: [" + ", ".join(f"*b{i}" for i in merged) + "]")
+            lines.append(f"  {draw(_keys)}: {draw(_scalars)}")
+        elif kind == "list":
+            lines.append(f"{key}:")
+            lines.extend(f"  - {draw(_scalars)}"
+                         for _ in range(draw(st.integers(0, 3))))
+        else:
+            lines.append(f"{key}: {draw(_scalars)}")
+    return "\n".join(lines) + "\n"
+
+
+_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML was built without libyaml")
+class TestYamlLoaders:
+    """libyaml (``CSafeLoader``) and pure-Python ``SafeLoader`` must build the
+    same tree wherever either is used."""
+
+    @pytest.mark.parametrize("name", CORPUS + ["generated_from_manifest.golden"])
+    def test_fixtures_load_to_equal_trees(self, name):
+        libyaml, pure = _both_loaders(fixture_text(name))
+        assert libyaml == pure
+
+    @settings(max_examples=150, deadline=None)
+    @given(_merged_documents())
+    def test_anchors_merge_keys_and_tricky_scalars_agree(self, text):
+        libyaml, pure = _both_loaders(text)
+        assert libyaml == pure
+
+    @settings(max_examples=150, deadline=None)
+    @given(_trees, st.sampled_from([None, False, True]))
+    def test_emitted_documents_agree(self, tree, flow):
+        shared = [tree, tree]       # a repeated node is emitted as an alias
+        text = yaml.safe_dump({"doc": tree, "shared": shared},
+                              default_flow_style=flow, allow_unicode=True)
+        libyaml, pure = _both_loaders(text)
+        assert libyaml == pure
+
+    def test_merge_key_and_yes_on_null_resolve_the_same(self):
+        text = ("base: &b {a: yes, b: on, c: null}\n"
+                "derived:\n  <<: *b\n  b: off\n")
+        expected = {"base": {"a": True, "b": True, "c": None},
+                    "derived": {"a": True, "b": False, "c": None}}
+        assert _both_loaders(text) == (expected, expected)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("text", [
+        "openapi: 3.0.3\npaths: {/pet: [\n",       # unclosed flow collection
+        "a: b: c\n",                               # mapping in a plain scalar
+        "a:\n  - x\n - y\n",                       # bad indentation
+        "a: *nowhere\n",                           # undefined alias
+        "a: 'unterminated\n",
+        "key: \"bad \\q escape\"\n",
+        "a: \ud800\n",                              # lone surrogate
+    ])
+    def test_malformed_text_is_a_syntax_error(self, monkeypatch, loader, text):
+        monkeypatch.setattr(yaml, "CSafeLoader", loader)
+        with pytest.raises(DocumentSyntaxError):
+            parse_document(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.characters(), max_size=40))
+    @example("a: \udc80")                         # libyaml cannot encode it
+    @example("key: value\t")                      # only libyaml accepts it
+    def test_any_text_decodes_or_raises_a_yaml_error(self, text):
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            with mock.patch.object(yaml, "CSafeLoader", loader):
+                try:
+                    _load_yaml(text)
+                except yaml.YAMLError:
+                    pass
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_fixtures_parse_without_libyaml(self, monkeypatch, name):
+        with_libyaml = fixture_doc(name)
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        assert parse_document(fixture_text(name)) == with_libyaml
+
+    @pytest.mark.parametrize("text, libyaml, pure", [
+        ("key: value\t\n", {"key": "value"}, yaml.YAMLError),
+        ("!\n", "", None),
+    ])
+    def test_known_edge_cases_where_the_loaders_part(self, text, libyaml, pure):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == libyaml
+        if pure is yaml.YAMLError:
+            with pytest.raises(yaml.YAMLError):
+                yaml.load(text, Loader=yaml.SafeLoader)
+        else:
+            assert yaml.load(text, Loader=yaml.SafeLoader) == pure

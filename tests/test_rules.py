@@ -116,6 +116,24 @@ class TestRuleFiles:
         with pytest.raises(RuleSetError):
             load_rules(path)
 
+    def test_malformed_yaml_rejected(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text("- path: /pet\n  actions: [read\n", encoding="utf-8")
+        with pytest.raises(RuleSetError, match="malformed"):
+            load_rules(path)
+
+    def test_empty_file_is_an_empty_rule_set(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text("", encoding="utf-8")
+        assert len(load_rules(path)) == 0
+
+    def test_non_mapping_entry_rejected(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_text("- path: /pet\n  group: G21\n  actions: [read]\n"
+                        "- /user\n", encoding="utf-8")
+        with pytest.raises(RuleSetError, match="#1 must be a mapping"):
+            load_rules(path)
+
 
 _WIDTH = {Permission.DENY: 0, Permission.ALLOW_OWN_ONLY: 1, Permission.ALLOW_ANY: 2}
 

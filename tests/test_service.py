@@ -2,6 +2,7 @@ import json
 import logging
 import socket
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from bola_guard import (
     default_rule_set,
     issue_token,
 )
-from bola_guard.service import make_server
+from bola_guard.service import MAX_BODY_BYTES, make_server
 
 KEY = b"service-test-key"
 NOW = 1_700_000_000.0
@@ -427,3 +428,46 @@ class TestHttpBoundary:
         assert reply.split(b"\r\n", 1)[0].split()[1] == b"201"
         assert json.loads(reply.partition(b"\r\n\r\n")[2]) == \
             {"id": 1, "name": "lucky"}
+
+    def _refused(self, port, head: str, body: bytes, status: bytes) -> dict:
+        """Send a request the adapter must refuse; return the reply body
+        after checking the status and that the server closed the socket."""
+        started = time.monotonic()
+        reply = raw_exchange(port, head, body)
+        assert time.monotonic() - started < 4.5, "the server kept the socket open"
+        assert reply.split(b"\r\n", 1)[0].split()[1:2] == [status], reply
+        return json.loads(reply.partition(b"\r\n\r\n")[2])
+
+    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 10 ** 12, 9 ** 99])
+    def test_body_above_the_cap_is_413_unread(self, http_port, length):
+        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
+                f"api_key: {token('123', {'G21'})}\r\n"
+                f"Content-Length: {length}")
+        assert self._refused(http_port, head, b"{}", b"413") == \
+            {"code": 413, "reason": "body_too_large"}
+
+    @pytest.mark.parametrize("encoding", ["chunked", "identity", "gzip, chunked"])
+    def test_any_transfer_encoding_is_501(self, http_port, encoding):
+        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
+                f"api_key: {token('123', {'G21'})}\r\n"
+                f"Transfer-Encoding: {encoding}\r\nContent-Length: 2")
+        body = b"2\r\n{}\r\n0\r\n\r\n"
+        assert self._refused(http_port, head, body, b"501") == \
+            {"code": 501, "reason": "transfer_encoding_unsupported"}
+
+    def test_a_stalled_body_is_408(self, http_port):
+        # Content-Length under the cap, but only 2 of its bytes ever arrive.
+        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
+                f"api_key: {token('123', {'G21'})}\r\n"
+                f"Content-Length: 1000000")
+        assert self._refused(http_port, head, b"{}", b"408") == \
+            {"code": 408, "reason": "body_timeout"}
+
+    def test_a_body_at_the_cap_is_read(self, http_port):
+        body = b'{"name": "' + b"x" * (MAX_BODY_BYTES - 12) + b'"}'
+        assert len(body) == MAX_BODY_BYTES
+        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
+                f"api_key: {token('123', {'G21'})}\r\n"
+                f"Content-Length: {len(body)}")
+        reply = raw_exchange(http_port, head, body)
+        assert reply.split(b"\r\n", 1)[0].split()[1] == b"201"

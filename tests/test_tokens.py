@@ -147,3 +147,24 @@ class TestClaimTypes:
         with pytest.raises(TokenInvalid):
             verify_token(signed({**self.CLAIMS, "user_name": user_name}), KEY,
                          now=NOW)
+
+
+class TestFiniteLifetime:
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), -float("inf"),
+                                     0, -1])
+    def test_issue_rejects_a_ttl_that_is_not_positive_and_finite(self, ttl):
+        with pytest.raises(ValueError):
+            issue_token("123", "alice", {"G21"}, ttl, KEY, now=NOW)
+
+    def test_issue_rejects_an_expiry_that_overflows(self):
+        with pytest.raises(ValueError):
+            issue_token("123", "alice", {"G21"}, 1.7e308, KEY, now=1.7e308)
+
+    # json.dumps writes NaN and Infinity, and json.loads reads them back.
+    @pytest.mark.parametrize("exp", [float("nan"), float("inf"), -float("inf"),
+                                     "nan", "inf"])
+    def test_verify_rejects_a_non_finite_exp(self, exp):
+        raw = signed({**TestClaimTypes.CLAIMS, "exp": exp})
+        for now in (NOW, 1e300):
+            with pytest.raises(TokenInvalid):
+                verify_token(raw, KEY, now=now)
