@@ -27,12 +27,10 @@ class AccessControlEntry:
     @classmethod
     def for_new_object(cls, object_id: int, path: str, owner: str) -> AccessControlEntry:
         """Entry created at object creation: the creator is the owner with RW."""
-        return cls(id=object_id, path=path, owner=owner,
-                   users_ro=(), users_rw=(owner,))
+        return cls(id=object_id, path=path, owner=owner)
 
     def can_read(self, user_id: str) -> bool:
-        return (user_id == self.owner or user_id in self.users_rw
-                or user_id in self.users_ro)
+        return user_id in self.users_rw or user_id in self.users_ro
 
     def readers(self) -> tuple[str, ...]:
         """Every user for whom :meth:`can_read` holds (the owner is in
@@ -40,7 +38,7 @@ class AccessControlEntry:
         return self.users_rw + self.users_ro
 
     def can_write(self, user_id: str) -> bool:
-        return user_id == self.owner or user_id in self.users_rw
+        return user_id in self.users_rw
 
     def to_record(self) -> dict:
         """Wire shape; the key order is part of the journal format."""

@@ -16,7 +16,8 @@ whitespace allowed)::
 Stub → spec prefers the manifest and cross-checks it against the scanned
 markers (any disagreement is an error); without a manifest it reconstructs
 routes from the ``# route:`` headers, ``def handle_<verb>`` lines, and
-markers. Recovered documents always use the root-level design, with a minimal
+markers, and a marker in a file with no ``# route:`` header is an error.
+Recovered documents always use the root-level design, with a minimal
 object schema per bound path.
 
 Both directions work in memory: :func:`render_stub` builds the tree as a
@@ -37,6 +38,8 @@ from pathlib import Path
 import yaml
 
 from .errors import (
+    CyclicRefError,
+    DanglingRefError,
     MarkerSyntaxError,
     NoStubFoundError,
     StubInconsistentError,
@@ -48,6 +51,7 @@ from .model import (
     ObjectAuthBinding,
     build_document,
     resolved_claims,
+    scheme_for_ref,
     _unescape_pointer,
 )
 from .validator import has_errors, validate
@@ -165,22 +169,20 @@ def manifest_from_document(doc: EssDocument) -> StubManifest:
 
 
 def _wiring(doc: EssDocument, binding: ObjectAuthBinding) -> ObjectAuthAttachment:
-    """Runtime wiring of a binding; identical for both placements."""
-    scheme_name = CANON_SCHEME_NAME
-    location = None
+    """Runtime wiring of a binding; identical for both placements. The
+    scheme is the one the validator checked; a binding whose scheme ref lands
+    on no scheme (an error finding) is wired from its inline token, if any."""
+    scheme = None
     if binding.scheme_ref is not None:
-        scheme_name = _last_segment(binding.scheme_ref)
-        scheme = doc.security_schemes.get(scheme_name)
-        if scheme is None:
-            # Ref may use a non-canonical casing of the scheme name.
-            for name in doc.security_schemes:
-                if name.lower() == scheme_name.lower():
-                    scheme_name, scheme = name, doc.security_schemes[name]
-                    break
-        if scheme is not None:
-            location = scheme.location
-    elif binding.token is not None:
-        location = binding.token.location
+        try:
+            scheme = scheme_for_ref(doc, binding.scheme_ref)
+        except (DanglingRefError, CyclicRefError):
+            pass
+    if scheme is not None:
+        scheme_name, location = scheme.name, scheme.location
+    else:
+        scheme_name = CANON_SCHEME_NAME
+        location = None if binding.token is None else binding.token.location
     claims = resolved_claims(doc, binding)
     object_id_property = ("id" if binding.object_id_ref is None
                           else _last_segment(binding.object_id_ref))
@@ -370,30 +372,20 @@ def _attachment_from_marker(marker: PrivilegeProviderMarker) -> ObjectAuthAttach
 
 def _manifest_from_scan(scanned: list[_ScannedFile]) -> StubManifest:
     routes: dict[str, RouteSpec] = {}
-    leftover_markers: list[PrivilegeProviderMarker] = []
     for file in scanned:
-        distinct = set(file.markers)
-        if len(distinct) > 1:
-            raise StubInconsistentError(
-                f"{file.route or '?'}: conflicting markers in one handler file")
         if file.route is None:
-            leftover_markers.extend(distinct)
+            if file.markers:
+                raise StubInconsistentError(
+                    f"marker for {file.markers[0].path!r} in a handler file "
+                    f"with no '# route:' header")
             continue
+        if len(set(file.markers)) > 1:
+            raise StubInconsistentError(
+                f"{file.route}: conflicting markers in one handler file")
         attachment = _attachment_from_marker(file.markers[0]) if file.markers else None
         methods = file.methods or ("post", "get", "put", "delete")
         routes[file.route] = RouteSpec(path=file.route, methods=methods,
                                        object_auth=attachment)
-    # Markers from header-less files still establish their route.
-    for marker in leftover_markers:
-        existing = routes.get(marker.path)
-        if existing is None:
-            routes[marker.path] = RouteSpec(
-                path=marker.path, methods=("post", "get", "put", "delete"),
-                object_auth=_attachment_from_marker(marker))
-        elif existing.object_auth is None:
-            routes[marker.path] = RouteSpec(
-                path=existing.path, methods=existing.methods,
-                object_auth=_attachment_from_marker(marker))
     ordered = tuple(routes[p] for p in sorted(routes))
     includes = (PROVIDER_MODULE,) if any(r.object_auth for r in ordered) else ()
     return StubManifest(routes=ordered, module_includes=includes)

@@ -93,9 +93,7 @@ def pointer_for_path(path: str) -> str:
 class SecurityScheme:
     name: str
     kind: SchemeKind
-    raw_type: str | None
     location: str | None
-    param_name: str | None
     x_groups: str | None
     x_user_id: str | None
 
@@ -110,16 +108,12 @@ class ScopeClaims:
 
     groups: str | None = None
     user_id: str | None = None
-    description: str | None = None
 
 
 @dataclass(frozen=True)
 class ScopeSet:
     entries: Mapping[Action, ScopeClaims]
     invalid_keys: tuple[str, ...] = ()
-
-    def actions(self) -> frozenset[Action]:
-        return frozenset(self.entries)
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,6 @@ class PathItem:
 @dataclass(frozen=True)
 class ObjectSchema:
     name: str
-    properties: Mapping[str, Any]
     binding: ObjectAuthBinding | None
 
 
@@ -254,10 +247,21 @@ def _absolute_pointer(ref: str, base: str | None) -> str:
     return base.rstrip("/") + "/" + ref.lstrip("/")
 
 
+def scheme_for_ref(doc: EssDocument, ref: str) -> SecurityScheme | None:
+    """The security scheme ``ref`` lands on once its ``$ref`` chain is
+    followed (an alias entry, say), matched by node identity; None when it
+    lands on a node that is not a scheme. A dangling or cyclic chain raises
+    :class:`DanglingRefError` or :class:`CyclicRefError`."""
+    target = resolve_ref(doc, ref)
+    schemes = (doc.raw.get("components") or {}).get("securitySchemes") or {}
+    for name, node in schemes.items():
+        if node is target:
+            return doc.security_schemes[name]
+    return None
+
+
 def _parent_pointer(pointer: str) -> str:
     trimmed = pointer[2:] if pointer.startswith("#/") else pointer.lstrip("#")
-    if not trimmed:
-        return "#/"
     parts = trimmed.split("/")[:-1]
     return "#/" + "/".join(parts)
 
@@ -366,19 +370,16 @@ def _parse_security_schemes(node: Any) -> dict[str, SecurityScheme]:
             raise StructureError(f"security scheme {name!r} must be a mapping")
         groups_key = _find_key(body, _KEY_GROUPS)
         user_id_key = _find_key(body, _KEY_USER_ID)
-        raw_type = body.get("type")
         if name.lower() == _SCHEME_NAME or groups_key or user_id_key:
             kind = SchemeKind.OBJECT_AUTH
-        elif raw_type == "apiKey":
+        elif body.get("type") == "apiKey":
             kind = SchemeKind.API_KEY
         else:
             kind = SchemeKind.OTHER
         schemes[name] = SecurityScheme(
             name=name,
             kind=kind,
-            raw_type=raw_type,
             location=body.get("in"),
-            param_name=body.get("name"),
             x_groups=_descriptor(body.get(groups_key)) if groups_key else None,
             x_user_id=_descriptor(body.get(user_id_key)) if user_id_key else None,
         )
@@ -410,8 +411,7 @@ def _parse_schemas(node: Any) -> dict[str, ObjectSchema]:
             if auth_key is not None:
                 context = f"#/components/schemas/{_escape_pointer(name)}/{auth_key}"
                 binding = _parse_binding(body[auth_key], context, Placement.ROOT_LEVEL)
-        properties = body.get("properties", {}) if isinstance(body, dict) else {}
-        schemas[name] = ObjectSchema(name=name, properties=properties, binding=binding)
+        schemas[name] = ObjectSchema(name=name, binding=binding)
     return schemas
 
 
@@ -533,14 +533,12 @@ def _parse_scopes(node: Any) -> tuple[ScopeSet, str | None, str | None]:
     if isinstance(methods, dict):
         shared_groups = _descriptor(node.get("groups"))
         shared_user_id = _descriptor(node.get("user_id"))
-        for key, body in methods.items():
+        for key in methods:
             action = action_for_key(str(key))
             if action is None:
                 invalid.append(str(key))
                 continue
-            description = body.get("description") if isinstance(body, dict) else None
-            entries[action] = ScopeClaims(
-                groups=shared_groups, user_id=shared_user_id, description=description)
+            entries[action] = ScopeClaims(groups=shared_groups, user_id=shared_user_id)
     else:
         for key, body in node.items():
             if key in ("groups", "user_id"):
@@ -553,7 +551,6 @@ def _parse_scopes(node: Any) -> tuple[ScopeSet, str | None, str | None]:
                 entries[action] = ScopeClaims(
                     groups=_descriptor(body.get("groups")),
                     user_id=_descriptor(body.get("user_id")),
-                    description=body.get("description"),
                 )
             else:
                 entries[action] = ScopeClaims()
@@ -607,7 +604,8 @@ def emit_document(doc: EssDocument, format: str = "yaml") -> str:
 
 
 def canonicalize_tree(tree: dict) -> dict:
-    """Copy of the document tree with extension keys in canonical casing."""
+    """Copy of a parsed document's tree with extension keys in canonical
+    casing; the parser has checked that every path item is a mapping."""
     out = copy.deepcopy(tree)
 
     components = out.get("components")
@@ -631,8 +629,6 @@ def canonicalize_tree(tree: dict) -> dict:
     paths = out.get("paths")
     if isinstance(paths, dict):
         for item in paths.values():
-            if not isinstance(item, dict):
-                continue
             _rename_ci(item, _KEY_OBJECTS, CANON_OBJECTS)
             for verb in HTTP_VERBS:
                 op = item.get(verb)

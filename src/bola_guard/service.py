@@ -3,7 +3,9 @@
 Request pipeline: verify the ``api_key`` header token, then
 
 * ``POST /<dir>``: group check, create the object, record its ACL entry;
-* ``GET/PUT/DELETE /<dir>/{id}``: per-object decision, then act;
+* ``GET/PUT/DELETE /<dir>/{id}``: per-object decision, then act; an update
+  or delete checks that the object exists and writes under the one write
+  lock that creations take, so no object outlives its ACL entry;
 * ``GET /<dir>``: listing filtered to objects the caller may read. The
   group rules are resolved once per listing; a reader group then gets the
   path's bucket, and an own-only caller gets the ids in the ACL store's
@@ -19,10 +21,12 @@ Status codes: 401 token failures, 403 denied decisions (body
 object missing, 201/200/204 for create/read-update/delete, 400 a malformed
 body or ``Content-Length``, 500 any failure (its body and log line name the
 request ``seq``). Rule lookups use the directory template (``/pet``), never
-the concrete URL. The HTTP adapter answers a ``Content-Length`` above
-:data:`MAX_BODY_BYTES` with 413 without reading the body, a body that stalls
-for :data:`BODY_IDLE_TIMEOUT_S` with 408, and any ``Transfer-Encoding`` with
-501; each of these replies closes the connection.
+the concrete URL. The HTTP adapter closes a connection that stays silent for
+:data:`IDLE_TIMEOUT_S` while it waits for the request line or headers; it
+answers a ``Content-Length`` above :data:`MAX_BODY_BYTES` with 413 without
+reading the body, a body that stalls for :data:`IDLE_TIMEOUT_S` with 408, and
+any ``Transfer-Encoding`` with 501; each of these replies closes the
+connection.
 
 The core is transport-neutral (:meth:`ReferenceService.handle_request`); a
 thin stdlib HTTP adapter serves it. Handlers never touch business state
@@ -63,7 +67,7 @@ logger = logging.getLogger(__name__)
 TOKEN_HEADER = "api_key"
 ADMIN_GROUP = "admin"
 MAX_BODY_BYTES = 1 << 20
-BODY_IDLE_TIMEOUT_S = 2.0
+IDLE_TIMEOUT_S = 2.0
 
 _VERB_ACTIONS = {verb: action for verb, action in VERB_TO_ACTION.items()
                  if action is not Action.CREATE}
@@ -140,7 +144,7 @@ class ReferenceService:
         self.clock = clock if clock is not None else _wall_clock
         self.observer = observer
         self.templates = frozenset(rules.paths())
-        self._create_lock = threading.Lock()
+        self._write_lock = threading.Lock()
         self._seq = 0
         self._seq_lock = threading.Lock()
 
@@ -232,7 +236,7 @@ class ReferenceService:
         document = _parse_body(body)
         if document is None:
             return _error(400, "invalid_body")
-        with self._create_lock:
+        with self._write_lock:
             # Ids come from next_id under this lock, so no entry holds one yet.
             object_id = self.engine.store.next_id(template)
             ace = self.engine.record_creation(token, template, object_id)
@@ -251,24 +255,27 @@ class ReferenceService:
                    id=object_id)
         if not decision.allowed:
             return _error(403, decision.reason.value)
-
-        stored = self.objects.get(template, object_id)
-        if stored is None:
-            return _error(404, "no_such_object")
         if action is Action.READ:
+            stored = self.objects.get(template, object_id)
+            if stored is None:
+                return _error(404, "no_such_object")
             return Response(200, _view(object_id, stored["body"]))
-        if action is Action.UPDATE:
-            document = _parse_body(body)
-            if document is None:
-                return _error(400, "invalid_body")
-            self.objects.put({"id": object_id, "path": template, "body": document})
-            self._emit(seq, "object_updated", path=template, id=object_id)
-            return Response(200, _view(object_id, document))
-        # delete
-        self.objects.delete(template, object_id)
-        if self.engine.store.get(template, object_id) is not None:
-            self.engine.store.delete(template, object_id)
-        self._emit(seq, "object_deleted", path=template, id=object_id)
+
+        document = _parse_body(body) if action is Action.UPDATE else None
+        with self._write_lock:
+            if self.objects.get(template, object_id) is None:
+                return _error(404, "no_such_object")
+            if action is Action.UPDATE:
+                if document is None:
+                    return _error(400, "invalid_body")
+                self.objects.put({"id": object_id, "path": template,
+                                  "body": document})
+                self._emit(seq, "object_updated", path=template, id=object_id)
+                return Response(200, _view(object_id, document))
+            self.objects.delete(template, object_id)
+            if self.engine.store.get(template, object_id) is not None:
+                self.engine.store.delete(template, object_id)
+            self._emit(seq, "object_deleted", path=template, id=object_id)
         return Response(204)
 
     def _list(self, seq: int, token, template: str) -> Response:
@@ -339,6 +346,9 @@ def _parse_body(body: bytes | None) -> dict | None:
 
 class _Handler(BaseHTTPRequestHandler):
     service: ReferenceService  # set per server
+    # Every socket read and write; the stdlib closes a connection whose
+    # request line or headers stall this long.
+    timeout = IDLE_TIMEOUT_S
 
     def _respond(self) -> None:
         body = self._read_body()
@@ -371,13 +381,10 @@ class _Handler(BaseHTTPRequestHandler):
             return _error(413, "body_too_large")
         if not length:
             return b""
-        self.connection.settimeout(BODY_IDLE_TIMEOUT_S)
         try:
             return self.rfile.read(length)
         except TimeoutError:
             return _error(408, "body_timeout")
-        finally:
-            self.connection.settimeout(None)
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         logger.debug("%s - %s", self.address_string(), format % args)

@@ -42,7 +42,6 @@ class AuthToken:
     user_name: str
     groups: frozenset[str]
     expiry: float
-    signature: bytes = field(default=b"", repr=False)
     raw: str = field(default="", repr=False, compare=False)
 
 
@@ -67,7 +66,6 @@ def issue_token(user_id: str, user_name: str, groups: frozenset[str] | set[str],
         user_name=user_name,
         groups=frozenset(groups),
         expiry=expiry,
-        signature=signature,
         raw=f"{signing_input}.{_b64url(signature)}",
     )
 
@@ -111,8 +109,7 @@ def verify_token(raw: str, key: bytes, now: float) -> AuthToken:
     if now >= expiry:
         raise TokenExpired(f"token expired at {expiry}")
     return AuthToken(user_id=user_id, user_name=user_name,
-                     groups=frozenset(groups), expiry=expiry,
-                     signature=expected, raw=raw)
+                     groups=frozenset(groups), expiry=expiry, raw=raw)
 
 
 def _decode_json(part: str) -> dict:

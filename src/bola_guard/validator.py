@@ -33,9 +33,9 @@ from .model import (
     EssDocument,
     ObjectAuthBinding,
     Placement,
-    SecurityScheme,
     pointer_for_path,
     resolve_ref,
+    scheme_for_ref,
 )
 
 ERROR = "error"
@@ -138,20 +138,22 @@ def _check_binding(doc: EssDocument, binding: ObjectAuthBinding) -> list[Finding
     context = binding.context
 
     if binding.scheme_ref is not None:
-        scheme, dangling = _scheme_for_ref(doc, binding.scheme_ref)
-        if dangling:
+        try:
+            scheme = scheme_for_ref(doc, binding.scheme_ref)
+        except (DanglingRefError, CyclicRefError):
             findings.append(Finding(ERROR, "E-DANGLING-REF", context,
                                     f"scheme reference {binding.scheme_ref!r} "
                                     f"resolves to nothing"))
-        elif scheme is None:
-            findings.append(Finding(ERROR, "E-SCHEME-KIND", context,
-                                    f"{binding.scheme_ref!r} does not target a "
-                                    f"security scheme"))
-        elif not scheme.is_object_auth:
-            findings.append(Finding(ERROR, "E-SCHEME-KIND", context,
-                                    f"referenced scheme {scheme.name!r} is "
-                                    f"{scheme.kind.value}, not an "
-                                    f"object-authorization scheme"))
+        else:
+            if scheme is None:
+                findings.append(Finding(ERROR, "E-SCHEME-KIND", context,
+                                        f"{binding.scheme_ref!r} does not target a "
+                                        f"security scheme"))
+            elif not scheme.is_object_auth:
+                findings.append(Finding(ERROR, "E-SCHEME-KIND", context,
+                                        f"referenced scheme {scheme.name!r} is "
+                                        f"{scheme.kind.value}, not an "
+                                        f"object-authorization scheme"))
     elif binding.token is None:
         findings.append(Finding(ERROR, "E-SCHEME-KIND", context,
                                 "binding declares neither a scheme reference nor "
@@ -190,21 +192,6 @@ def _check_binding(doc: EssDocument, binding: ObjectAuthBinding) -> list[Finding
         findings.append(Finding(ERROR, "E-SCOPE-ACTION", context,
                                 "binding declares no valid CRUD action scopes"))
     return findings
-
-
-def _scheme_for_ref(doc: EssDocument,
-                    ref: str) -> tuple[SecurityScheme | None, bool]:
-    """(scheme, dangling): resolve a scheme ref and identify it by node identity."""
-    try:
-        target = resolve_ref(doc, ref)
-    except (DanglingRefError, CyclicRefError):
-        return None, True
-    components = doc.raw.get("components") or {}
-    schemes = components.get("securitySchemes") or {}
-    for name, node in schemes.items():
-        if node is target:
-            return doc.security_schemes[name], False
-    return None, False
 
 
 def _is_primitive_property(node: Any) -> bool:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 from pathlib import Path
 
 import pytest
 
 from bola_guard import parse_document
+from bola_guard.model import build_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,6 +29,13 @@ def fixture_text(name: str) -> str:
 
 def fixture_doc(name: str):
     return parse_document(fixture_text(name))
+
+
+def mutate(doc, fn):
+    """Deep-copy the raw tree, apply fn, re-parse."""
+    tree = copy.deepcopy(doc.raw)
+    fn(tree)
+    return build_document(tree)
 
 
 @pytest.fixture

@@ -73,6 +73,17 @@ class TestGeneratorCommands:
         assert "x-objectAuth" in out_file.read_text()
         assert main(["validate", str(out_file), "--quiet"]) == 0
 
+    def test_gen_spec_json_names_the_output_and_its_paths(self, tmp_path, capsys):
+        out_dir = tmp_path / "stub"
+        assert main(["gen-stub", GOOD_SPEC, "-o", str(out_dir)]) == 0
+        capsys.readouterr()
+        out_file = tmp_path / "recovered.json"
+        assert main(["gen-spec", str(out_dir), "-o", str(out_file), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == \
+            {"out": str(out_file), "paths": ["/pet"]}
+        assert "x-objectAuth" in json.loads(out_file.read_text())["components"][
+            "schemas"]["Pet"]
+
     def test_gen_stub_json_prints_manifest(self, tmp_path, capsys):
         assert main(["gen-stub", GOOD_SPEC, "-o", str(tmp_path / "s"),
                      "--json"]) == 0
@@ -181,6 +192,13 @@ class TestAclCommands:
         assert main(["acl", "compact", "--journal", journal, "--json"]) == 0
         assert json.loads(capsys.readouterr().out) == {"entries": 1}
 
+    def test_compact_text_output(self, journal, capsys):
+        assert main(["acl", "compact", "--journal", journal]) == 0
+        assert capsys.readouterr().out == "compacted journal to 1 live entry\n"
+        Path(journal).write_text("", encoding="utf-8")
+        assert main(["acl", "compact", "--journal", journal]) == 0
+        assert capsys.readouterr().out == "compacted journal to 0 live entries\n"
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
@@ -213,6 +231,28 @@ class TestServeConfig:
         assert main(["serve", "--config", str(config)]) == 3
         assert "config file" in capsys.readouterr().err
 
+    def test_serve_runs_until_interrupted_then_closes(self, tmp_path,
+                                                     monkeypatch):
+        from http.server import ThreadingHTTPServer
+
+        served = []
+
+        def interrupt(server, *args, **kwargs):
+            served.append(server.server_address)
+            raise KeyboardInterrupt
+        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", interrupt)
+        key = tmp_path / "key"
+        key.write_bytes(b"k")
+        config = tmp_path / "service.yaml"
+        config.write_text(f"port: 0\nkey_path: {key}\n"
+                          f"journal_path: {tmp_path / 'acl.ndjson'}\n",
+                          encoding="utf-8")
+        assert main(["serve", "--config", str(config)]) == 0
+        [(host, port)] = served
+        assert host == "127.0.0.1" and port > 0
+        assert (tmp_path / "acl.ndjson").is_file()
+        assert (tmp_path / "acl.ndjson.objects").is_file()
+
     def test_non_utf8_config_exits_3(self, tmp_path, capsys):
         config = tmp_path / "service.yaml"
         config.write_bytes(b"host: caf\xe9\n")
@@ -225,3 +265,10 @@ class TestServeConfig:
         config.write_text("port: 0\nhost: null\nrules_path: null\n",
                           encoding="utf-8")
         assert ServiceConfig.load(config) == ServiceConfig(port=0)
+
+    def test_an_empty_config_file_takes_every_default(self, tmp_path):
+        from bola_guard.service import ServiceConfig
+
+        config = tmp_path / "service.yaml"
+        config.write_text("", encoding="utf-8")
+        assert ServiceConfig.load(config) == ServiceConfig()

@@ -9,6 +9,7 @@ from bola_guard import (
     AclStore,
     Action,
     AuthToken,
+    AuthzDecision,
     AuthzEngine,
     DecisionReason,
     DuplicateObjectError,
@@ -163,6 +164,29 @@ class TestGrant:
         engine.record_creation(claims("123", {"G21"}), "/pet", 152)
         with pytest.raises(ValueError):
             engine.grant("123", 152, "/pet", "456", "admin")
+
+
+class TestEntryInvariants:
+    def test_the_owner_is_always_in_the_rw_list(self):
+        ace = AccessControlEntry(id=1, path="/pet", owner="123",
+                                 users_ro=("7",), users_rw=("9",))
+        assert ace.users_rw == ("123", "9")
+        assert AccessControlEntry.for_new_object(1, "/pet", "123").users_rw == ("123",)
+        assert ace.can_read("123") and ace.can_write("123")
+        assert ace.can_read("7") and not ace.can_write("7")
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(id=-1), "non-negative"),
+        (dict(id=1, users_ro=("9",), users_rw=("9",)), "disjoint"),
+        (dict(id=1, users_ro=("123",)), "disjoint"),
+    ])
+    def test_an_invalid_entry_is_refused(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            AccessControlEntry(path="/pet", owner="123", **fields)
+
+    def test_an_allow_needs_an_allow_reason(self):
+        with pytest.raises(ValueError, match="cannot accompany an allow"):
+            AuthzDecision(True, DecisionReason.NOT_OWNER)
 
 
 class TestCreationLinkage:

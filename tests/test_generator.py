@@ -29,9 +29,9 @@ from bola_guard.generator import (
     render_stub,
     stub_matches_spec,
 )
-from bola_guard.validator import classify_design
+from bola_guard.validator import classify_design, has_errors
 
-from conftest import CORPUS, FIXTURES, fixture_doc
+from conftest import CORPUS, FIXTURES, fixture_doc, mutate
 
 
 class TestManifest:
@@ -68,6 +68,62 @@ class TestManifest:
     def test_body_token_location_is_carried(self):
         manifest = manifest_from_document(fixture_doc("body_token_method_level"))
         assert manifest.routes[0].object_auth.token_location == "body"
+
+
+def _auth(tree):
+    return tree["components"]["schemas"]["Pet"]["x-objectAuth"]
+
+
+class TestSchemeWiring:
+    """The stub wires the scheme the validator checked."""
+
+    def test_an_alias_is_wired_as_the_scheme_it_names(self, root_doc):
+        direct = mutate(root_doc, lambda t: t["components"]["securitySchemes"][
+            "X-objectAuthScheme"].update({"in": "query"}))
+
+        def alias(tree):
+            tree["components"]["securitySchemes"]["Alias"] = {
+                "$ref": "#/components/securitySchemes/X-objectAuthScheme"}
+            _auth(tree)["schema"] = {"$ref": "#/components/securitySchemes/Alias"}
+        aliased = mutate(direct, alias)
+        assert validate(aliased) == []
+        [route] = manifest_from_document(aliased).routes
+        assert (route.object_auth.scheme_name, route.object_auth.token_location) \
+            == ("X-objectAuthScheme", "body")
+        assert manifest_from_document(aliased) == manifest_from_document(direct)
+        assert ess_facts(aliased) == ess_facts(direct)
+        assert roundtrip_check(aliased)
+
+    def test_a_casing_of_the_extension_name_is_wired_as_the_scheme(self, root_doc):
+        recased = mutate(root_doc, lambda t: _auth(t).update({"schema": {
+            "$ref": "#/components/securitySchemes/x-objectauthscheme"}}))
+        assert validate(recased) == []
+        assert manifest_from_document(recased) == manifest_from_document(root_doc)
+
+    @pytest.mark.parametrize("ref, token, token_in", [
+        ("#/components/securitySchemes/Ghost", None, "header"),
+        ("#/components/securitySchemes/Loop", None, "header"),
+        ("#/components/schemas/Pet", None, "header"),
+        ("#/components/securitySchemes/Ghost", {"in": "body"}, "body"),
+        ("#/components/securitySchemes/Loop", {"in": "query"}, "body"),
+        ("#/components/schemas/Pet", {"in": "header"}, "header"),
+    ])
+    def test_a_ref_that_lands_on_no_scheme_is_wired_from_the_inline_token(
+            self, root_doc, tmp_path, ref, token, token_in):
+        def point(tree):
+            tree["components"]["securitySchemes"]["Loop"] = {
+                "$ref": "#/components/securitySchemes/Loop"}
+            _auth(tree)["schema"] = {"$ref": ref}
+            if token is not None:
+                _auth(tree)["token"] = token
+        doc = mutate(root_doc, point)
+        assert has_errors(validate(doc))
+        assert ess_facts(doc) == \
+            {"/pet": {"token_in": token_in, "groups": True, "user_id": True}}
+        [route] = manifest_from_document(doc).routes
+        assert route.object_auth.scheme_name == "X-objectAuthScheme"
+        spec_to_stub(root_doc, tmp_path)
+        assert stub_matches_spec(doc, tmp_path) is (token_in == "header")
 
 
 class TestSpecToStub:
@@ -172,6 +228,52 @@ class TestStubToSpec:
             stub_to_spec(tmp_path)
         assert exc.value.file == str(stub)
         assert exc.value.line_no == 2
+
+    def test_a_marker_in_a_file_without_a_route_header_is_refused(self, tmp_path):
+        handlers = tmp_path / "handlers"
+        handlers.mkdir()
+        marker = PrivilegeProviderMarker("/pet", "header", True, True)
+        (handlers / "pet.stub").write_text(
+            f"{marker.line()}\ndef handle_get(request):\n    pass\n",
+            encoding="utf-8")
+        with pytest.raises(StubInconsistentError, match="no '# route:' header"):
+            stub_to_spec(tmp_path)
+
+    def test_a_file_without_a_route_header_or_marker_is_ignored(self, root_doc,
+                                                                  tmp_path):
+        spec_to_stub(root_doc, tmp_path)
+        (tmp_path / MANIFEST_NAME).unlink()
+        (tmp_path / "handlers" / "notes.stub").write_text(
+            "def handle_get(request):\n    pass\n", encoding="utf-8")
+        recovered = stub_to_spec(tmp_path)
+        assert set(recovered.paths) == {"/pet"}
+        assert ess_facts(recovered) == ess_facts(root_doc)
+
+    def test_conflicting_markers_in_one_file_are_refused(self, root_doc, tmp_path):
+        spec_to_stub(root_doc, tmp_path)
+        (tmp_path / MANIFEST_NAME).unlink()
+        stub = tmp_path / "handlers" / "pet.stub"
+        stub.write_text(stub.read_text().replace(
+            'token_in="header"', 'token_in="body"', 1), encoding="utf-8")
+        with pytest.raises(StubInconsistentError, match="conflicting markers"):
+            stub_to_spec(tmp_path)
+
+    @pytest.mark.parametrize("groups, user_id", [(None, "string"),
+                                                 ("string", None), (None, None)])
+    def test_a_null_claim_is_left_out_of_the_recovered_document(self, groups,
+                                                                user_id):
+        doc = document_from_manifest(StubManifest((RouteSpec(
+            "/pet", ("post",), ObjectAuthAttachment(
+                "X-objectAuthScheme", "header", groups, user_id, "id")),),
+            ("privilege_provider",)))
+        scopes = _auth(doc.raw)["scopes"]
+        scheme = doc.raw["components"]["securitySchemes"]["X-objectAuthScheme"]
+        declared = (groups is not None, user_id is not None)
+        assert ("groups" in scopes, "user_id" in scopes) == declared
+        assert ("x-groups" in scheme, "x-user_id" in scheme) == declared
+        assert ess_facts(doc) == {"/pet": {"token_in": "header",
+                                           "groups": declared[0],
+                                           "user_id": declared[1]}}
 
     def test_empty_directory_raises_no_stub_found(self, tmp_path):
         with pytest.raises(NoStubFoundError):

@@ -6,17 +6,24 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from bola_guard import (
+    Action,
     CyclicRefError,
     DanglingRefError,
     DocumentSyntaxError,
     Placement,
     SchemeKind,
+    ScopeClaims,
     StructureError,
     emit_document,
     parse_document,
     resolve_ref,
 )
-from bola_guard.model import _load_yaml, build_document, resolved_claims
+from bola_guard.model import (
+    _load_yaml,
+    build_document,
+    resolved_claims,
+    scheme_for_ref,
+)
 
 from conftest import CORPUS, fixture_doc, fixture_text
 
@@ -26,7 +33,6 @@ class TestParse:
         scheme = scheme_only_doc.security_schemes["X-objectAuthScheme"]
         assert scheme.kind is SchemeKind.OBJECT_AUTH
         assert scheme.location == "header"
-        assert scheme.param_name == "api_key"
         assert scheme.x_groups == "string"
         assert scheme.x_user_id == "string"
         assert scheme_only_doc.security_schemes["api_key"].kind is SchemeKind.API_KEY
@@ -188,6 +194,217 @@ class TestEmit:
     def test_unknown_format_rejected(self, root_doc):
         with pytest.raises(ValueError):
             emit_document(root_doc, "toml")
+
+
+class TestRefWalking:
+    LISTED = """
+openapi: 3.0.3
+paths:
+  /pet:
+    get:
+      parameters:
+        - name: id
+          in: query
+      responses:
+        200:
+          description: unquoted status key
+"""
+
+    def test_an_unquoted_integer_key_is_reached_by_its_digits(self):
+        doc = parse_document(self.LISTED)
+        assert resolve_ref(doc, "#/paths/~1pet/get/responses/200") == \
+            {"description": "unquoted status key"}
+
+    def test_list_items_are_reached_by_index(self):
+        doc = parse_document(self.LISTED)
+        assert resolve_ref(doc, "#/paths/~1pet/get/parameters/0/in") == "query"
+
+    @pytest.mark.parametrize("ref", [
+        "#/paths/~1pet/get/parameters/1",        # past the end of the list
+        "#/paths/~1pet/get/parameters/first",    # not an index
+        "#/paths/~1pet/get/parameters/0/in/x",   # into a scalar
+        "#/paths/~1pet/get/responses/404",       # an integer key that is absent
+    ])
+    def test_a_pointer_that_leaves_the_tree_dangles(self, ref):
+        with pytest.raises(DanglingRefError):
+            resolve_ref(parse_document(self.LISTED), ref)
+
+    def test_an_extension_segment_matches_any_casing(self, root_doc):
+        node = resolve_ref(root_doc, "#/components/securitySchemes/"
+                                     "x-objectauthscheme/X-GROUPS")
+        assert node == "string"
+
+    @pytest.mark.parametrize("ref", ["https://example.com/spec.yaml#/a",
+                                     "other.yaml#/components/schemas/Pet"])
+    def test_a_remote_ref_dangles(self, root_doc, ref):
+        with pytest.raises(DanglingRefError, match="remote|relative"):
+            resolve_ref(root_doc, ref)
+
+
+class TestSchemeForRef:
+    ALIASED = fixture_text("petstore_root_level").replace(
+        "    X-objectAuthScheme:\n      type: apiKey\n      name: api_key\n"
+        "      in: header\n",
+        "    Alias:\n      $ref: '#/components/securitySchemes/X-objectAuthScheme'\n"
+        "    X-objectAuthScheme:\n      type: apiKey\n      name: api_key\n"
+        "      in: query\n")
+
+    def test_an_alias_chain_lands_on_the_scheme_it_names(self):
+        doc = parse_document(self.ALIASED)
+        scheme = scheme_for_ref(doc, "#/components/securitySchemes/Alias")
+        assert scheme is doc.security_schemes["X-objectAuthScheme"]
+        assert scheme.location == "query"
+
+    def test_a_casing_of_the_extension_name_lands_on_the_scheme(self, root_doc):
+        scheme = scheme_for_ref(root_doc,
+                                "#/components/securitySchemes/x-objectauthscheme")
+        assert scheme.name == "X-objectAuthScheme"
+
+    def test_a_node_that_is_not_a_scheme_is_none(self, root_doc):
+        assert scheme_for_ref(root_doc, "#/components/schemas/Pet") is None
+
+    def test_dangling_and_cyclic_chains_raise(self):
+        doc = parse_document(self.ALIASED.replace(
+            "    Alias:\n      $ref: '#/components/securitySchemes/X-objectAuthScheme'\n",
+            "    Alias:\n      $ref: '#/components/securitySchemes/Loop'\n"
+            "    Loop:\n      $ref: '#/components/securitySchemes/Alias'\n"))
+        with pytest.raises(CyclicRefError):
+            scheme_for_ref(doc, "#/components/securitySchemes/Alias")
+        with pytest.raises(DanglingRefError):
+            scheme_for_ref(doc, "#/components/securitySchemes/Ghost")
+
+
+class TestStructureErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("components: [a]", "'components' must be a mapping"),
+        ("components: {securitySchemes: [a]}",
+         "'components.securitySchemes' must be a mapping"),
+        ("components: {securitySchemes: {S: 5}}", "security scheme 'S' must be"),
+        ("components: {schemas: [a]}", "'components.schemas' must be a mapping"),
+        ("paths: [a]", "'paths' must be a mapping"),
+        ("paths: {/pet: [get]}", "path item '/pet' must be a mapping"),
+        ("paths: {/pet: {x-objects: 5}}", "must be a \\$ref"),
+        ("components: {schemas: {Pet: {x-objectAuth: [a]}}}",
+         "binding must be a mapping"),
+        ("paths: {/pet: {get: {X-objectAuth: true}}}", "binding must be a mapping"),
+    ])
+    def test_each_unusable_section_is_a_structure_error(self, text, message):
+        with pytest.raises(StructureError, match=message):
+            parse_document("openapi: 3.0.3\n" + text)
+
+    def test_an_unknown_input_format_is_a_value_error(self):
+        with pytest.raises(ValueError, match="format"):
+            parse_document("{}", "toml")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "null\n"])
+    def test_an_empty_document_is_an_empty_model(self, text):
+        doc = parse_document(text)
+        assert (doc.paths, doc.security_schemes, doc.schemas, doc.raw) == \
+            ({}, {}, {}, {})
+
+
+class TestParseDetails:
+    def test_a_scheme_of_another_type_is_other(self):
+        doc = parse_document("components: {securitySchemes: {bearer: {type: http}}}")
+        assert doc.security_schemes["bearer"].kind is SchemeKind.OTHER
+
+    @pytest.mark.parametrize("declared, descriptor", [
+        ("string", "string"), ("5", "5"), ("{type: integer}", "integer"),
+        ("{format: uuid}", "{'format': 'uuid'}"), ("null", None),
+        ("{$ref: '#/x'}", None),
+    ])
+    def test_claim_descriptors_of_every_shape(self, declared, descriptor):
+        doc = parse_document("components: {securitySchemes: {S: {type: apiKey, "
+                   f"x-groups: {declared}, x-user_id: string}}}}}}")
+        assert doc.security_schemes["S"].x_groups == descriptor
+
+    def test_an_operation_that_is_not_a_mapping_carries_no_binding(self):
+        doc = parse_document("paths: {/pet: {get: null, post: {responses: {}}}}")
+        item = doc.paths["/pet"]
+        assert item.methods == ("get", "post")
+        assert item.method_bindings == {}
+
+    def test_x_objects_may_be_a_bare_ref_string(self, root_doc):
+        text = fixture_text("petstore_root_level").replace(
+            "    x-objects:\n      $ref: '#/components/schemas/Pet/x-objectAuth'",
+            "    x-objects: '#/components/schemas/Pet/x-objectAuth'")
+        doc = parse_document(text)
+        assert doc.paths["/pet"].bound_schema == "Pet"
+        assert doc.path_binding("/pet") == root_doc.path_binding("/pet")
+
+    def test_x_objects_on_a_node_that_is_not_a_binding_binds_nothing(self):
+        text = fixture_text("petstore_root_level").replace(
+            "'#/components/schemas/Pet/x-objectAuth'",
+            "'#/components/schemas/Pet/properties/id'").replace(
+            "  schemas:\n", "  schemas:\n    Tag: 5\n")
+        item = parse_document(text).paths["/pet"]
+        assert item.x_objects_ref == "#/components/schemas/Pet/properties/id"
+        assert item.bound_schema is None
+
+    def test_a_document_never_equals_another_type(self, root_doc):
+        assert root_doc.__eq__(root_doc.raw) is NotImplemented
+        assert root_doc != root_doc.raw
+
+
+class TestScopeShapes:
+    def _scopes(self, scopes: str):
+        doc = parse_document("openapi: 3.0.3\npaths:\n  /pet:\n    post:\n"
+                   "      X-objectAuth:\n        scopes: " + scopes + "\n")
+        return doc.paths["/pet"].method_bindings["post"]
+
+    def test_scopes_that_are_not_a_mapping_grant_nothing(self):
+        binding = self._scopes("[C, R]")
+        assert binding.scopes.entries == {}
+        assert binding.scopes.invalid_keys == ()
+
+    def test_the_per_action_shape_skips_claim_refs_and_keeps_odd_keys(self):
+        binding = self._scopes(
+            "{groups: {$ref: '#/g'}, user_id: {$ref: '#/u'}, C: null, "
+            "R: {groups: {type: string}}, X: {}, 7: {}}")
+        assert binding.scopes.entries == {
+            Action.CREATE: ScopeClaims(), Action.READ: ScopeClaims(groups="string")}
+        assert binding.scopes.invalid_keys == ("X", "7")
+        assert (binding.groups_ref, binding.user_id_ref) == ("#/g", "#/u")
+
+    def test_the_shared_shape_keeps_odd_keys_and_shares_its_claims(self):
+        binding = self._scopes(
+            "{groups: string, methods: {post: null, PATCH: {}, r: {}}}")
+        assert binding.scopes.entries == {
+            Action.CREATE: ScopeClaims(groups="string"),
+            Action.READ: ScopeClaims(groups="string")}
+        assert binding.scopes.invalid_keys == ("PATCH",)
+
+    def test_a_dangling_claim_ref_resolves_to_no_claim(self, root_doc):
+        text = fixture_text("petstore_root_level").replace(
+            "X-objectAuthScheme/x-groups'", "X-objectAuthScheme/x-missing'")
+        doc = parse_document(text)
+        claims = resolved_claims(doc, doc.path_binding("/pet"))
+        assert claims == ScopeClaims(groups=None, user_id="string")
+
+
+class TestCanonicalization:
+    def test_the_scheme_name_gets_its_canonical_spelling(self):
+        text = fixture_text("petstore_root_level").replace(
+            "X-objectAuthScheme", "x-OBJECTauthscheme")
+        tree = parse_document(text).canonical_tree()
+        assert list(tree["components"]["securitySchemes"]) == \
+            ["api_key", "X-objectAuthScheme"]
+        auth = tree["components"]["schemas"]["Pet"]["x-objectAuth"]
+        assert auth["schema"] == \
+            {"$ref": "#/components/securitySchemes/X-objectAuthScheme"}
+
+    def test_refs_inside_lists_are_canonicalized(self):
+        doc = parse_document("paths:\n  /pet:\n    get:\n      responses:\n"
+                   "        '200':\n          content:\n            a/b:\n"
+                   "              schema:\n                oneOf:\n"
+                   "                  - $ref: '#/components/schemas/Pet/X-OBJECTAUTH'\n"
+                   "                  - 5\n")
+        one_of = doc.canonical_tree()["paths"]["/pet"]["get"]["responses"][
+            "200"]["content"]["a/b"]["schema"]["oneOf"]
+        assert one_of == [{"$ref": "#/components/schemas/Pet/x-objectAuth"}, 5]
+        # The model's own tree keeps the document's spelling.
+        assert "X-OBJECTAUTH" in doc.raw["paths"]["/pet"]["get"]["responses"][
+            "200"]["content"]["a/b"]["schema"]["oneOf"][0]["$ref"]
 
 
 LOADERS = [pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml"),

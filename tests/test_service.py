@@ -1,6 +1,8 @@
 import json
 import logging
+import random
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
@@ -13,14 +15,13 @@ from bola_guard import (
     Action,
     GroupRule,
     GroupRuleSet,
-    NoSuchObjectError,
     ObjectStore,
     ReferenceService,
     ServiceConfig,
     default_rule_set,
     issue_token,
 )
-from bola_guard.service import MAX_BODY_BYTES, make_server
+from bola_guard.service import IDLE_TIMEOUT_S, MAX_BODY_BYTES, make_server
 
 KEY = b"service-test-key"
 NOW = 1_700_000_000.0
@@ -111,6 +112,11 @@ class TestCreateFlow:
         c = request(service, "POST", "/pet", token("1", {"G21"}), {}).body["id"]
         assert (a, b, c) == (1, 1, 2)
 
+    def test_a_missing_body_creates_an_empty_object(self, service):
+        response = service.handle_request(
+            "POST", "/pet", {"api_key": token("123", {"G21"})}, None)
+        assert (response.status, response.body) == (201, {"id": 1})
+
     def test_invalid_json_body_is_400(self, service):
         response = service.handle_request(
             "POST", "/pet", {"api_key": token("1", {"G21"})}, b"{broken")
@@ -126,6 +132,26 @@ class TestObjectAccess:
         got = request(service, "GET", f"/pet/{pid}", tok)
         assert got.status == 200
         assert got.body == {"id": pid, "name": "rex"}
+
+    def test_update_replies_403_then_404_then_400(self, tmp_path):
+        rules = default_rule_set()
+        rules.add(GroupRule("/pet", "W", frozenset({Action.UPDATE}),
+                            ownership_required=False))
+        service = build_service(tmp_path, rules=rules)
+        try:
+            owner = token("123", {"G21"})
+            request(service, "POST", "/pet", owner, {"name": "a"})
+            bad = b"not json"
+            for tok, url, status, reason in [
+                    (token("456", {"G21"}), "/pet/1", 403, "not_owner"),
+                    (token("456", {"W"}), "/pet/9", 404, "no_such_object"),
+                    (owner, "/pet/1", 400, "invalid_body")]:
+                reply = service.handle_request("PUT", url, {"api_key": tok}, bad)
+                assert (reply.status, reply.body["reason"]) == (status, reason)
+            assert request(service, "GET", "/pet/1", owner).body == \
+                {"id": 1, "name": "a"}
+        finally:
+            service.close()
 
     def test_non_owner_update_is_403_not_owner(self, service):
         pid = request(service, "POST", "/pet", token("123", {"G21"}),
@@ -227,29 +253,147 @@ class TestObjectViews:
 
 
 class TestUnexpectedErrors:
-    def test_a_lost_delete_race_is_a_logged_500_with_its_seq(self, service,
-                                                             caplog):
+    def test_an_unexpected_exception_is_a_logged_500_with_its_seq(self, service,
+                                                                  caplog):
         owner = token("123", {"G21"})
         pid = request(service, "POST", "/pet", owner, {}).body["id"]
-        real_get = service.objects.get
 
-        def get_then_lose_the_race(path, object_id):
-            stored = real_get(path, object_id)
-            service.objects.get = real_get
-            # A second DELETE of the same object completes in between.
-            assert request(service, "DELETE", f"/pet/{pid}", owner).status == 204
-            return stored
+        def fail(path, object_id):
+            raise RuntimeError("injected")
 
-        service.objects.get = get_then_lose_the_race
+        service.objects.get = fail
         with caplog.at_level(logging.ERROR, logger="bola_guard.service"):
             response = request(service, "DELETE", f"/pet/{pid}", owner)
-        # The racing DELETE ran inside this request, so it took the next seq.
         assert response.status == 500
         assert response.body == {"code": 500, "reason": "internal_error",
                                  "seq": 2}
         [record] = caplog.records
         assert "request 2 failed" in record.getMessage()
-        assert record.exc_info[0] is NoSuchObjectError
+        assert record.exc_info[0] is RuntimeError
+
+    def test_a_storage_failure_is_a_logged_500_with_its_seq(self, service,
+                                                            caplog, monkeypatch):
+        owner = token("123", {"G21"})
+
+        def fail(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("os.fsync", fail)
+        with caplog.at_level(logging.ERROR, logger="bola_guard.service"):
+            response = request(service, "POST", "/pet", owner, {"name": "x"})
+        assert response.status == 500
+        assert response.body == {"code": 500, "reason": "storage_failure",
+                                 "seq": 1}
+        [record] = caplog.records
+        assert "request 1: storage failure" in record.getMessage()
+
+
+class TestWriteRaces:
+    """A request that has read the object is held inside ``objects.get``
+    while a second request on the same object runs in another thread. The
+    second gets at most 0.5 s once it has its decision: a service that
+    serializes writes keeps it waiting, one that does not lets it finish."""
+
+    def _race(self, service, first, second):
+        real_get = service.objects.get
+        paused, resume, decided = (threading.Event() for _ in range(3))
+
+        def get(path, object_id):
+            stored = real_get(path, object_id)
+            if threading.current_thread().name == "first":
+                paused.set()
+                resume.wait(5)
+            return stored
+
+        def observe(event, payload):
+            if event == "decision" and threading.current_thread().name == "second":
+                decided.set()
+
+        service.objects.get = get
+        service.observer = observe
+        replies = {}
+        threads = [threading.Thread(name=name, target=lambda name=name, call=call:
+                                    replies.__setitem__(name, call()))
+                   for name, call in (("first", first), ("second", second))]
+        threads[0].start()
+        assert paused.wait(5)
+        threads[1].start()
+        assert decided.wait(5)
+        threads[1].join(timeout=0.5)
+        resume.set()
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        service.objects.get = real_get
+        return replies["first"].status, replies["second"].status
+
+    @staticmethod
+    def _orphans(service):
+        """Stored objects that have no ACL entry."""
+        return [stored["id"] for stored in service.objects.in_path("/pet")
+                if service.engine.store.get("/pet", stored["id"]) is None]
+
+    def test_a_put_racing_a_delete_leaves_no_object_without_an_entry(self, service):
+        owner = token("123", {"G21"})
+        pid = request(service, "POST", "/pet", owner, {"name": "a"}).body["id"]
+        statuses = self._race(
+            service,
+            lambda: request(service, "PUT", f"/pet/{pid}", owner, {"name": "b"}),
+            lambda: request(service, "DELETE", f"/pet/{pid}", owner))
+        assert statuses == (200, 204)
+        assert self._orphans(service) == []
+        assert service.objects.get("/pet", pid) is None
+        assert request(service, "GET", f"/pet/{pid}", token("9", {"G22"})).status \
+            == 404
+
+    def test_a_delete_that_loses_to_a_delete_is_404(self, service):
+        owner = token("123", {"G21"})
+        pid = request(service, "POST", "/pet", owner, {}).body["id"]
+        delete = lambda: request(service, "DELETE", f"/pet/{pid}", owner)  # noqa: E731
+        assert self._race(service, delete, delete) == (204, 404)
+        assert self._orphans(service) == []
+        assert service.engine.store.get("/pet", pid) is None
+
+    def test_concurrent_writers_leave_no_object_without_an_entry(self, service):
+        owner = token("123", {"G21"})
+        statuses = set()
+
+        def churn(seed):
+            rng = random.Random(seed)
+            for _ in range(60):
+                newest = service.engine.store.next_id("/pet") - 1
+                pid = rng.randint(max(1, newest - 2), max(1, newest))
+                verb = rng.choice(["POST", "PUT", "PUT", "DELETE", "DELETE"])
+                url = "/pet" if verb == "POST" else f"/pet/{pid}"
+                statuses.add(request(service, verb, url, owner, {"n": 1}).status)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn, args=(seed,))
+                       for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        # A write to an object already deleted is 403: its ACL entry is gone
+        # too, so ownership cannot be proven.
+        assert statuses <= {200, 201, 204, 403, 404}
+        assert self._orphans(service) == []
+
+    def test_a_put_that_loses_to_a_delete_is_404(self, service):
+        owner = token("123", {"G21"})
+        pid = request(service, "POST", "/pet", owner, {"name": "a"}).body["id"]
+        statuses = self._race(
+            service,
+            lambda: request(service, "DELETE", f"/pet/{pid}", owner),
+            lambda: request(service, "PUT", f"/pet/{pid}", owner, {"name": "b"}))
+        assert statuses == (204, 404)
+        assert self._orphans(service) == []
+        assert service.objects.get("/pet", pid) is None
 
 
 class TestAdminEndpoint:
@@ -259,6 +403,13 @@ class TestAdminEndpoint:
         assert response.status == 200
         assert response.body == [{"id": 1, "path": "/pet", "owner": "123",
                                   "users_ro": [], "users_rw": ["123"]}]
+
+    def test_any_other_method_is_405(self, service):
+        admin = token("0", {"admin"})
+        for method in ("POST", "PUT", "DELETE"):
+            response = request(service, method, "/admin/acl", admin)
+            assert (response.status, response.body["reason"]) == \
+                (405, "method_not_allowed")
 
     def test_non_admin_is_403(self, service):
         assert request(service, "GET", "/admin/acl",
@@ -462,6 +613,17 @@ class TestHttpBoundary:
                 f"Content-Length: 1000000")
         assert self._refused(http_port, head, b"{}", b"408") == \
             {"code": 408, "reason": "body_timeout"}
+
+    @pytest.mark.parametrize("sent", [b"", b"GET /pet HTTP/1.1\r\n",
+                                      b"GET /pet HTTP/1.1\r\nHost: x\r\n"])
+    def test_a_silent_connection_is_closed_after_the_idle_timeout(self, http_port,
+                                                                  sent):
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", http_port), timeout=5) as sock:
+            sock.sendall(sent)
+            # A server that keeps the socket open makes this raise a timeout.
+            assert sock.recv(65536) == b""
+        assert IDLE_TIMEOUT_S - 0.5 < time.monotonic() - started < 4.5
 
     def test_a_body_at_the_cap_is_read(self, http_port):
         body = b'{"name": "' + b"x" * (MAX_BODY_BYTES - 12) + b'"}'

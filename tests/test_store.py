@@ -91,6 +91,20 @@ class TestReplay:
         assert list(json.loads(line)) == ["id", "path", "owner",
                                           "users_ro", "users_rw"]
 
+    def test_a_blank_line_between_records_is_skipped(self, tmp_path):
+        location = tmp_path / "acl.ndjson"
+        with AclStore.open(location) as store:
+            store.put(ace(1))
+            store.put(ace(2))
+        first, second = location.read_bytes().splitlines(keepends=True)
+        location.write_bytes(first + b"\n  \n" + second)
+        with AclStore.open(location) as store:
+            assert [a.id for a in store.entries()] == [1, 2]
+            assert store.journal_position == 2
+            store.put(ace(3))
+        with AclStore.open(location) as store:
+            assert [a.id for a in store.entries()] == [1, 2, 3]
+
     def test_truncated_tail_recovers_prefix_with_warning(self, tmp_path, caplog):
         location = tmp_path / "acl.ndjson"
         with AclStore.open(location) as store:

@@ -3,18 +3,10 @@ import json
 
 import pytest
 
-from bola_guard import parse_document, validate, classify_design
-from bola_guard.model import build_document
+from bola_guard import Finding, parse_document, validate, classify_design
 from bola_guard.validator import has_errors, render_json, render_text
 
-from conftest import CORPUS, fixture_doc
-
-
-def mutate(doc, fn):
-    """Deep-copy the raw tree, apply fn, re-parse."""
-    tree = copy.deepcopy(doc.raw)
-    fn(tree)
-    return build_document(tree)
+from conftest import CORPUS, fixture_doc, mutate
 
 
 class TestValidate:
@@ -124,6 +116,77 @@ class TestValidate:
             }
         findings = validate(mutate(root_doc, add_method_binding))
         assert "E-OBJECT-REF" in [f.code for f in findings]
+
+    @pytest.mark.parametrize("ref", [
+        "#/components/securitySchemes/Ghost",           # dangling
+        "#/components/securitySchemes/Loop",            # cyclic alias chain
+    ])
+    def test_a_scheme_ref_that_lands_nowhere_dangles(self, root_doc, ref):
+        def point(tree):
+            schemes = tree["components"]["securitySchemes"]
+            schemes["Loop"] = {"$ref": "#/components/securitySchemes/Loop2"}
+            schemes["Loop2"] = {"$ref": "#/components/securitySchemes/Loop"}
+            tree["components"]["schemas"]["Pet"]["x-objectAuth"]["schema"] = \
+                {"$ref": ref}
+        findings = validate(mutate(root_doc, point))
+        assert [(f.code, f.path_context) for f in findings] == \
+            [("E-DANGLING-REF", "#/components/schemas/Pet/x-objectAuth")]
+        assert "scheme reference" in findings[0].message
+
+    def test_a_scheme_ref_to_a_node_that_is_no_scheme_is_a_kind_error(
+            self, root_doc):
+        wrong = mutate(root_doc, lambda t: t["components"]["schemas"]["Pet"]
+                       ["x-objectAuth"]["schema"].update(
+                           {"$ref": "#/components/schemas/Pet/properties/id"}))
+        findings = validate(wrong)
+        assert [f.code for f in findings] == ["E-SCHEME-KIND"]
+        assert "does not target a security scheme" in findings[0].message
+
+    def test_a_scheme_ref_through_an_alias_is_clean(self, root_doc):
+        def alias(tree):
+            schemes = tree["components"]["securitySchemes"]
+            schemes["Alias"] = {
+                "$ref": "#/components/securitySchemes/X-objectAuthScheme"}
+            tree["components"]["schemas"]["Pet"]["x-objectAuth"]["schema"] = \
+                {"$ref": "#/components/securitySchemes/Alias"}
+        assert validate(mutate(root_doc, alias)) == []
+
+    def test_x_objects_on_a_node_that_is_not_a_binding_is_flagged(self, root_doc):
+        wrong = mutate(root_doc, lambda t: t["paths"]["/pet"]["x-objects"].update(
+            {"$ref": "#/components/schemas/Pet/properties/id"}))
+        findings = validate(wrong)
+        assert [(f.code, f.path_context) for f in findings] == \
+            [("E-OBJECT-REF", "#/paths/~1pet")]
+        assert "x-objects reference" in findings[0].message
+
+    def test_divergent_method_level_bindings_on_one_path_conflict(self, method_doc):
+        def diverge(tree):
+            op = tree["paths"]["/pet"]["post"]
+            binding = copy.deepcopy(op["X-objectAuth"])
+            binding["scopes"] = {"U": binding["scopes"]["U"]}
+            tree["paths"]["/pet"]["put"] = {"responses": op["responses"],
+                                            "X-objectAuth": binding}
+        findings = validate(mutate(method_doc, diverge))
+        assert [(f.code, f.path_context) for f in findings] == \
+            [("E-OBJECT-REF", "#/paths/~1pet/put/X-objectAuth")]
+        assert "conflicting method-level bindings" in findings[0].message
+
+    def test_schema_refs_inside_lists_count_as_handled_objects(self):
+        doc = parse_document(
+            "openapi: 3.0.3\npaths:\n  /pet:\n    get:\n      responses:\n"
+            "        '200':\n          content:\n            a/b:\n"
+            "              schema:\n                oneOf:\n"
+            "                  - $ref: '#/components/schemas/Pet'\n"
+            "                  - $ref: '#/components/schemas/Tag'\n"
+            "components:\n  schemas:\n    Pet: {type: object}\n"
+            "    Tag: {type: object}\n")
+        [finding] = validate(doc)
+        assert finding.code == "W-BOLA-UNBOUND"
+        assert "Pet, Tag" in finding.message
+
+    def test_a_finding_code_outside_the_catalog_is_refused(self):
+        with pytest.raises(ValueError, match="unknown finding code"):
+            Finding("error", "E-NOT-A-CODE", "#/", "message")
 
     def test_findings_are_deterministic_and_sorted(self, root_doc):
         broken = mutate(root_doc, lambda t: (
