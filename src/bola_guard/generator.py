@@ -13,18 +13,20 @@ whitespace allowed)::
 
     # @object_privilege(path="<path>", token_in="<header|body>", groups=<true|false>, user_id=<true|false>)
 
-Stub → spec prefers the manifest and cross-checks it against the scanned
-markers (any disagreement is an error); without a manifest it reconstructs
-routes from the ``# route:`` headers, ``def handle_<verb>`` lines, and
-markers, and a marker in a file with no ``# route:`` header is an error.
-Recovered documents always use the root-level design, with a minimal
-object schema per bound path.
+Stub → spec reads every handler file through one scan: a file's
+``# route:`` header names its route, its ``def handle_<verb>`` lines (the
+verbs of :data:`~bola_guard.actions.VERB_ORDER`) are the route's methods,
+and its markers, which must name that route, agree, and number one per
+handler, bind it. Without a manifest the scanned routes are the manifest;
+with one, every route that either side binds must have the same methods and
+marker on both (any disagreement is an error). Recovered documents always
+use the root-level design, with a minimal object schema per bound path.
 
 Both directions work in memory: :func:`render_stub` builds the tree as a
 ``{relpath: text}`` map and :func:`recover_document` reads the manifest text
-and handler texts back, so :func:`roundtrip_check` writes nothing unless it is
-given a directory. :func:`spec_to_stub` and :func:`stub_to_spec` are the
-on-disk wrappers around them.
+and handler texts back, so :func:`roundtrip_check` writes nothing.
+:func:`spec_to_stub` and :func:`stub_to_spec` are the on-disk wrappers
+around them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 import re
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
@@ -40,8 +42,10 @@ import yaml
 from .errors import (
     CyclicRefError,
     DanglingRefError,
+    DocumentSyntaxError,
     MarkerSyntaxError,
     NoStubFoundError,
+    StructureError,
     StubInconsistentError,
     ValidationFailedError,
 )
@@ -67,7 +71,7 @@ MARKER_RE = re.compile(
     r'groups=(true|false), user_id=(true|false)\)\s*$')
 MARKER_LIKE_RE = re.compile(r"^\s*#\s*@object_privilege")
 ROUTE_HEADER_RE = re.compile(r"^# route: (\S+)\s*$")
-HANDLER_DEF_RE = re.compile(r"^def handle_([a-z]+)\(")
+HANDLER_DEF_RE = re.compile(rf"^def handle_({'|'.join(VERB_ORDER)})\(")
 
 
 @dataclass(frozen=True)
@@ -113,43 +117,68 @@ class StubManifest:
     routes: tuple[RouteSpec, ...]
     module_includes: tuple[str, ...]
 
+    @classmethod
+    def of(cls, routes: tuple[RouteSpec, ...]) -> "StubManifest":
+        """The manifest of ``routes``; it includes the provider iff one is bound."""
+        bound = any(r.object_auth for r in routes)
+        return cls(routes=routes, module_includes=(PROVIDER_MODULE,) if bound else ())
+
     def to_json(self) -> str:
-        payload = {
-            "version": 1,
-            "routes": [{
-                "path": r.path,
-                "methods": list(r.methods),
-                "object_auth": None if r.object_auth is None else {
-                    "scheme_name": r.object_auth.scheme_name,
-                    "token_location": r.object_auth.token_location,
-                    "groups_claim": r.object_auth.groups_claim,
-                    "user_id_claim": r.object_auth.user_id_claim,
-                    "object_id_property": r.object_auth.object_id_property,
-                },
-            } for r in self.routes],
-            "module_includes": list(self.module_includes),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps({"version": 1, **asdict(self)}, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "StubManifest":
-        payload = json.loads(text)
+        """Read what :meth:`to_json` writes: a :class:`DocumentSyntaxError`
+        for text that is not JSON, a :class:`StructureError` for JSON of
+        another shape."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DocumentSyntaxError(f"{MANIFEST_NAME}: {exc}") from exc
         routes = []
-        for entry in payload.get("routes", []):
-            auth = entry.get("object_auth")
+        for entry in _field(payload, "routes", list, "the manifest", []):
+            auth = _field(entry, "object_auth", dict, "a route", None)
             routes.append(RouteSpec(
-                path=entry["path"],
-                methods=tuple(entry["methods"]),
+                path=_field(entry, "path", str, "a route"),
+                methods=tuple(_one_of(verb, VERB_ORDER, "a method") for verb
+                              in _field(entry, "methods", list, "a route")),
                 object_auth=None if auth is None else ObjectAuthAttachment(
-                    scheme_name=auth["scheme_name"],
-                    token_location=auth["token_location"],
+                    scheme_name=_field(auth, "scheme_name", str, "an object_auth"),
+                    token_location=_one_of(auth.get("token_location"),
+                                           ("header", "body"), "a token_location"),
                     groups_claim=auth.get("groups_claim"),
                     user_id_claim=auth.get("user_id_claim"),
-                    object_id_property=auth.get("object_id_property", "id"),
+                    object_id_property=_field(auth, "object_id_property", str,
+                                              "an object_auth", "id"),
                 ),
             ))
-        return cls(routes=tuple(routes),
-                   module_includes=tuple(payload.get("module_includes", [])))
+        includes = _field(payload, "module_includes", list, "the manifest", [])
+        return cls(routes=tuple(routes), module_includes=tuple(includes))
+
+
+_REQUIRED = object()
+_JSON_TYPES = {str: "a string", list: "an array", dict: "an object"}
+
+
+def _field(entry, key: str, kind: type, where: str, default=_REQUIRED):
+    """``entry[key]``, which must be a ``kind``; ``default`` instead when
+    the key is absent or null and a default is given."""
+    if not isinstance(entry, dict):
+        raise StructureError(f"{MANIFEST_NAME}: {where} is not an object")
+    value = entry.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if not isinstance(value, kind):
+        raise StructureError(f"{MANIFEST_NAME}: {where} needs {key!r} as "
+                             f"{_JSON_TYPES[kind]}")
+    return value
+
+
+def _one_of(value, choices: tuple[str, ...], what: str) -> str:
+    if value not in choices:
+        raise StructureError(f"{MANIFEST_NAME}: {what} is {value!r}, not one "
+                             f"of {', '.join(choices)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +193,7 @@ def manifest_from_document(doc: EssDocument) -> StubManifest:
         binding = doc.path_binding(path)
         attachment = None if binding is None else _wiring(doc, binding)
         routes.append(RouteSpec(path=path, methods=methods, object_auth=attachment))
-    includes = (PROVIDER_MODULE,) if any(r.object_auth for r in routes) else ()
-    return StubManifest(routes=tuple(routes), module_includes=includes)
+    return StubManifest.of(tuple(routes))
 
 
 def _wiring(doc: EssDocument, binding: ObjectAuthBinding) -> ObjectAuthAttachment:
@@ -188,17 +216,11 @@ def _wiring(doc: EssDocument, binding: ObjectAuthBinding) -> ObjectAuthAttachmen
                           else _last_segment(binding.object_id_ref))
     return ObjectAuthAttachment(
         scheme_name=scheme_name,
-        token_location=_normalize_location(location),
+        token_location="header" if location in (None, "header") else "body",
         groups_claim=claims.groups,
         user_id_claim=claims.user_id,
         object_id_property=object_id_property,
     )
-
-
-def _normalize_location(location: str | None) -> str:
-    if location in (None, "header"):
-        return "header"
-    return "body"
 
 
 def _last_segment(ref: str) -> str:
@@ -265,40 +287,6 @@ def spec_to_stub(doc: EssDocument, out_dir: str | Path) -> StubManifest:
 # Stub -> specification
 
 
-@dataclass(frozen=True)
-class _ScannedFile:
-    route: str | None
-    methods: tuple[str, ...]
-    markers: tuple[PrivilegeProviderMarker, ...]
-
-
-def _scan_handler(label: str, text: str) -> _ScannedFile:
-    route = None
-    methods: list[str] = []
-    markers: list[PrivilegeProviderMarker] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        header = ROUTE_HEADER_RE.match(line)
-        if header and route is None:
-            route = header.group(1)
-            continue
-        if MARKER_LIKE_RE.match(line):
-            matched = MARKER_RE.match(line)
-            if matched is None:
-                raise MarkerSyntaxError(label, line_no, line)
-            markers.append(PrivilegeProviderMarker(
-                path=matched.group(1),
-                token_location=matched.group(2),
-                groups=matched.group(3) == "true",
-                user_id=matched.group(4) == "true",
-            ))
-            continue
-        handler = HANDLER_DEF_RE.match(line)
-        if handler:
-            methods.append(handler.group(1))
-    return _ScannedFile(route=route, methods=tuple(methods),
-                        markers=tuple(markers))
-
-
 def stub_to_spec(in_dir: str | Path) -> EssDocument:
     """Recover an annotated specification from a generated (or edited) stub."""
     root = Path(in_dir)
@@ -319,76 +307,87 @@ def recover_document(manifest_text: str | None,
                      handlers: list[tuple[str, str]]) -> EssDocument:
     """The document a stub describes, from its manifest text (None when it
     has none) and the ``(label, text)`` pairs of its handler files in sorted
-    order; a label names its file in a :class:`MarkerSyntaxError`."""
-    scanned = [_scan_handler(label, text) for label, text in handlers]
-    if manifest_text is not None:
-        manifest = StubManifest.from_json(manifest_text)
-        _cross_check(manifest, scanned)
-        return document_from_manifest(manifest)
-    return document_from_manifest(_manifest_from_scan(scanned))
-
-
-def _cross_check(manifest: StubManifest, scanned: list[_ScannedFile]) -> None:
-    """Manifest and marker scan must tell the same story."""
-    markers_by_path: dict[str, list[PrivilegeProviderMarker]] = {}
-    for file in scanned:
-        for marker in file.markers:
-            markers_by_path.setdefault(marker.path, []).append(marker)
-
-    routes_by_path = {r.path: r for r in manifest.routes}
-    for path, markers in markers_by_path.items():
-        route = routes_by_path.get(path)
-        if route is None or route.object_auth is None:
+    order; a label names its file in a :class:`MarkerSyntaxError`. Without
+    a manifest the scanned routes are the manifest; with one, every route
+    that either side binds has the same :func:`_guard` on both."""
+    scanned = _scan_routes(handlers)
+    manifest = (StubManifest.of(tuple(scanned[p] for p in sorted(scanned)))
+                if manifest_text is None else StubManifest.from_json(manifest_text))
+    declared = {r.path: r for r in manifest.routes}
+    for path in sorted(declared.keys() | scanned.keys()):
+        wired, marked = _guard(declared.get(path)), _guard(scanned.get(path))
+        if wired != marked:
             raise StubInconsistentError(
-                f"markers found for {path!r} but the manifest declares no "
-                f"object authorization there")
-
-    for route in manifest.routes:
-        if route.object_auth is None:
-            continue
-        markers = markers_by_path.get(route.path, [])
-        expected = route.object_auth.marker(route.path)
-        if len(markers) != len(route.methods):
-            raise StubInconsistentError(
-                f"{route.path!r}: manifest declares {len(route.methods)} "
-                f"authorized handler(s) but {len(markers)} marker(s) were "
-                f"scanned")
-        for marker in markers:
-            if marker != expected:
-                raise StubInconsistentError(
-                    f"{route.path!r}: marker {marker} disagrees with the "
-                    f"manifest wiring {expected}")
+                f"{path!r}: the manifest binds {wired or 'nothing'} but the "
+                f"handler files bind {marked or 'nothing'}")
+    return document_from_manifest(manifest)
 
 
-def _attachment_from_marker(marker: PrivilegeProviderMarker) -> ObjectAuthAttachment:
-    return ObjectAuthAttachment(
-        scheme_name=CANON_SCHEME_NAME,
-        token_location=marker.token_location,
-        groups_claim="string" if marker.groups else None,
-        user_id_claim="string" if marker.user_id else None,
-        object_id_property="id",
-    )
+def _guard(route: RouteSpec | None) -> str | None:
+    """What a stub's markers say about a route: its methods and marker;
+    nothing when it is unbound or has no handler to carry a marker."""
+    if route is None or route.object_auth is None or not route.methods:
+        return None
+    methods = "/".join(sorted(set(route.methods), key=VERB_ORDER.index))
+    return f"{methods} with {route.object_auth.marker(route.path).line()}"
 
 
-def _manifest_from_scan(scanned: list[_ScannedFile]) -> StubManifest:
+def _scan_routes(handlers: list[tuple[str, str]]) -> dict[str, RouteSpec]:
+    """The routes that handler files declare, by path; a later file with the
+    same ``# route:`` header replaces an earlier one.
+
+    Each ``def handle_<verb>`` line of a file adds a method to the route its
+    header names, and its markers bind that route. The markers must name
+    that route, agree with each other, and number one per handler. A file
+    with no header declares nothing and may carry no marker."""
     routes: dict[str, RouteSpec] = {}
-    for file in scanned:
-        if file.route is None:
-            if file.markers:
+    for label, text in handlers:
+        route = None
+        methods: list[str] = []
+        markers: list[PrivilegeProviderMarker] = []
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            header = ROUTE_HEADER_RE.match(line)
+            if header and route is None:
+                route = header.group(1)
+            elif MARKER_LIKE_RE.match(line):
+                matched = MARKER_RE.match(line)
+                if matched is None:
+                    raise MarkerSyntaxError(label, line_no, line)
+                path, location, groups, user_id = matched.groups()
+                markers.append(PrivilegeProviderMarker(path, location, groups == "true",
+                                                       user_id == "true"))
+            elif handler := HANDLER_DEF_RE.match(line):
+                methods.append(handler.group(1))
+
+        attachment = None
+        if markers:
+            marker = markers[0]
+            if route is None:
                 raise StubInconsistentError(
-                    f"marker for {file.markers[0].path!r} in a handler file "
+                    f"{label}: marker for {marker.path!r} in a handler file "
                     f"with no '# route:' header")
-            continue
-        if len(set(file.markers)) > 1:
-            raise StubInconsistentError(
-                f"{file.route}: conflicting markers in one handler file")
-        attachment = _attachment_from_marker(file.markers[0]) if file.markers else None
-        methods = file.methods or ("post", "get", "put", "delete")
-        routes[file.route] = RouteSpec(path=file.route, methods=methods,
-                                       object_auth=attachment)
-    ordered = tuple(routes[p] for p in sorted(routes))
-    includes = (PROVIDER_MODULE,) if any(r.object_auth for r in ordered) else ()
-    return StubManifest(routes=ordered, module_includes=includes)
+            if any(m != marker for m in markers):
+                raise StubInconsistentError(
+                    f"{label}: conflicting markers in one handler file")
+            if marker.path != route:
+                raise StubInconsistentError(
+                    f"{label}: marker for {marker.path!r} under "
+                    f"'# route: {route}'")
+            if len(markers) != len(methods):
+                raise StubInconsistentError(
+                    f"{label}: {len(markers)} marker(s) for "
+                    f"{len(methods)} handler(s)")
+            attachment = ObjectAuthAttachment(
+                scheme_name=CANON_SCHEME_NAME,
+                token_location=marker.token_location,
+                groups_claim="string" if marker.groups else None,
+                user_id_claim="string" if marker.user_id else None,
+                object_id_property="id",
+            )
+        if route is not None:
+            routes[route] = RouteSpec(path=route, methods=tuple(methods),
+                                      object_auth=attachment)
+    return routes
 
 
 _ACTION_DESCRIPTIONS = {
@@ -523,12 +522,8 @@ def _recovers_facts(doc: EssDocument, recover) -> bool:
     return ess_facts(doc) == ess_facts(recovered)
 
 
-def roundtrip_check(doc: EssDocument, out_dir: str | Path | None = None) -> bool:
-    """Generate a stub from ``doc`` and verify the reverse direction: in
-    memory, or through ``out_dir`` on disk when one is given."""
-    if out_dir is not None:
-        spec_to_stub(doc, out_dir)
-        return stub_matches_spec(doc, out_dir)
+def roundtrip_check(doc: EssDocument) -> bool:
+    """Generate a stub from ``doc`` in memory and verify the reverse direction."""
     _, files = render_stub(doc)
     handlers = sorted((relpath, text) for relpath, text in files.items()
                       if relpath.startswith(f"{HANDLERS_DIR}/"))

@@ -102,6 +102,33 @@ class TestGeneratorCommands:
         assert main(["gen-spec", str(tmp_path), "-o",
                      str(tmp_path / "x.yaml")]) == 1
 
+    @pytest.mark.parametrize("manifest", [
+        pytest.param('{"routes": [', id="not_json"),
+        pytest.param('[]', id="root_is_a_list"),
+        pytest.param('{"routes": ["/pet"]}', id="route_is_a_string"),
+        pytest.param('{"routes": [{"methods": ["get"]}]}', id="route_without_path"),
+        pytest.param('{"routes": [{"path": "/pet"}]}', id="route_without_methods"),
+        pytest.param('{"routes": [{"path": "/pet", "methods": ["fetch"]}]}',
+                     id="unknown_method"),
+        pytest.param('{"routes": [{"path": "/pet", "methods": ["get"], '
+                     '"object_auth": {"token_location": "header"}}]}',
+                     id="object_auth_without_scheme_name"),
+        pytest.param('{"routes": [{"path": "/pet", "methods": ["get"], '
+                     '"object_auth": {"scheme_name": "X-objectAuthScheme"}}]}',
+                     id="object_auth_without_token_location"),
+        pytest.param('{"routes": [{"path": "/pet", "methods": ["get"], '
+                     '"object_auth": {"scheme_name": "X-objectAuthScheme", '
+                     '"token_location": "query"}}]}', id="token_location_query"),
+    ])
+    def test_a_malformed_manifest_exits_3_with_one_error_line(self, tmp_path,
+                                                             capsys, manifest):
+        (tmp_path / "manifest.json").write_text(manifest, encoding="utf-8")
+        assert main(["gen-spec", str(tmp_path), "-o",
+                     str(tmp_path / "x.yaml")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest.json: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.yaml").exists()
+
 
 class TestTokenCommand:
     def test_issue_with_key_flag(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from bola_guard import (
 from bola_guard.errors import ValidationFailedError
 from bola_guard.generator import (
     MANIFEST_NAME,
+    MARKER_LIKE_RE,
     ObjectAuthAttachment,
     PrivilegeProviderMarker,
     RouteSpec,
@@ -26,6 +27,7 @@ from bola_guard.generator import (
     document_from_manifest,
     ess_facts,
     manifest_from_document,
+    recover_document,
     render_stub,
     stub_matches_spec,
 )
@@ -316,13 +318,90 @@ class TestStubToSpec:
             assert recovered.bindings() == []
 
 
+def _handlers(files: dict[str, str]) -> list[tuple[str, str]]:
+    return sorted((relpath, text) for relpath, text in files.items()
+                  if relpath.startswith("handlers/"))
+
+
+def _keeps_facts(doc, manifest_text, handlers) -> bool:
+    """True iff the stub recovers to a document with the facts of ``doc``."""
+    try:
+        recovered = recover_document(manifest_text, handlers)
+    except StubInconsistentError:
+        return False
+    return ess_facts(recovered) == ess_facts(doc)
+
+
+X_BODY = ObjectAuthAttachment("X-objectAuthScheme", "body", "string", "string",
+                              "id")
+X_MANIFEST = StubManifest.of([RouteSpec("/x", ("get",), X_BODY)]).to_json()
+
+
+class TestStubReader:
+    """One scan reads each handler file, with a manifest and without."""
+
+    @pytest.mark.parametrize("manifest_text", [None, X_MANIFEST],
+                             ids=["no_manifest", "manifest"])
+    def test_a_marker_that_names_another_path_is_refused(self, manifest_text):
+        marker = X_BODY.marker("/y")
+        text = f"# route: /x\n{marker.line()}\ndef handle_get(request):\n"
+        with pytest.raises(StubInconsistentError, match="under '# route: /x'"):
+            recover_document(manifest_text, [("handlers/x.stub", text)])
+
+    @pytest.mark.parametrize("manifest_text", [None, X_MANIFEST],
+                             ids=["no_manifest", "manifest"])
+    def test_a_marker_without_a_handler_is_refused(self, manifest_text):
+        text = f"# route: /x\n{X_BODY.marker('/x').line()}\n"
+        with pytest.raises(StubInconsistentError,
+                           match=r"1 marker\(s\) for 0 handler\(s\)"):
+            recover_document(manifest_text, [("handlers/x.stub", text)])
+
+    def test_a_header_only_file_recovers_a_path_without_operations(self):
+        recovered = recover_document(None, [("handlers/x.stub", "# route: /x\n")])
+        assert set(recovered.paths) == {"/x"}
+        assert recovered.paths["/x"].methods == ()
+        assert recovered.bindings() == []
+
+    def test_a_helper_named_like_a_handler_is_no_method(self):
+        text = (f"# route: /x\n{X_BODY.marker('/x').line()}\n"
+                "def handle_get(request):\n    return handle_errors(request)\n"
+                "def handle_errors(request):\n    pass\n")
+        recovered = recover_document(None, [("handlers/x.stub", text)])
+        assert list(recovered.raw["paths"]["/x"]) == ["get", "x-objects"]
+        assert ess_facts(recovered) == \
+            {"/x": {"token_in": "body", "groups": True, "user_id": True}}
+
+    def test_a_renamed_handler_disagrees_with_the_manifest(self, root_doc):
+        _, files = render_stub(root_doc)
+        files["handlers/pet.stub"] = files["handlers/pet.stub"].replace(
+            "def handle_put(", "def handle_patch(")
+        with pytest.raises(StubInconsistentError, match="post/put with"):
+            recover_document(files[MANIFEST_NAME], _handlers(files))
+        recovered = recover_document(None, _handlers(files))
+        assert recovered.paths["/pet"].methods == ("post", "patch")
+
+    def test_a_bound_path_without_operations_round_trips_through_the_manifest(
+            self, root_doc):
+        bare = mutate(root_doc, lambda t: [t["paths"]["/pet"].pop(verb)
+                                           for verb in ("post", "put")])
+        assert validate(bare) == []
+        _, files = render_stub(bare)
+        assert "@object_privilege" not in files["handlers/pet.stub"]
+        assert _keeps_facts(bare, files[MANIFEST_NAME], _handlers(files))
+        assert roundtrip_check(bare)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", CORPUS)
     def test_corpus_round_trips(self, name, tmp_path):
-        assert roundtrip_check(fixture_doc(name), tmp_path)
+        doc = fixture_doc(name)
+        spec_to_stub(doc, tmp_path)
+        assert stub_matches_spec(doc, tmp_path)
 
     def test_document_without_bindings_round_trips(self, tmp_path):
-        assert roundtrip_check(fixture_doc("ess_scheme_only"), tmp_path)
+        doc = fixture_doc("ess_scheme_only")
+        spec_to_stub(doc, tmp_path)
+        assert stub_matches_spec(doc, tmp_path)
 
     def test_deleting_one_marker_breaks_the_round_trip(self, root_doc, tmp_path):
         spec_to_stub(root_doc, tmp_path)
@@ -382,7 +461,8 @@ class TestInMemoryStub:
     @pytest.mark.parametrize("case", IN_MEMORY_CASES)
     def test_in_memory_round_trip_agrees_with_disk(self, case, tmp_path):
         doc = IN_MEMORY_CASES[case]()
-        assert roundtrip_check(doc) == roundtrip_check(doc, tmp_path)
+        spec_to_stub(doc, tmp_path)
+        assert roundtrip_check(doc) == stub_matches_spec(doc, tmp_path)
 
     def test_a_slug_collision_breaks_both_round_trips(self, tmp_path):
         doc = IN_MEMORY_CASES["slug_collision_bound"]()
@@ -391,7 +471,8 @@ class TestInMemoryStub:
         assert [p for p in files if p.startswith("handlers/")] == ["handlers/a_b.stub"]
         assert "# route: /a_b" in files["handlers/a_b.stub"]
         assert not roundtrip_check(doc)
-        assert not roundtrip_check(doc, tmp_path)
+        spec_to_stub(doc, tmp_path)
+        assert not stub_matches_spec(doc, tmp_path)
 
     def test_round_trip_writes_nothing(self, root_doc, monkeypatch):
         def refuse(*args, **kwargs):
@@ -470,3 +551,19 @@ class TestGeneratedDocumentProperties:
     @given(manifests())
     def test_built_documents_validate_cleanly(self, manifest):
         assert validate(document_from_manifest(manifest)) == []
+
+    @given(manifests())
+    def test_markers_recover_the_facts_with_or_without_the_manifest(self,
+                                                                    manifest):
+        doc = document_from_manifest(manifest)
+        _, files = render_stub(doc)
+        handlers = _handlers(files)
+        for manifest_text in (files[MANIFEST_NAME], None):
+            assert _keeps_facts(doc, manifest_text, handlers)
+            for index, (label, text) in enumerate(handlers):
+                lines = text.splitlines()
+                for at, line in enumerate(lines):
+                    if MARKER_LIKE_RE.match(line):
+                        edited = list(handlers)
+                        edited[index] = (label, "\n".join(lines[:at] + lines[at + 1:]))
+                        assert not _keeps_facts(doc, manifest_text, edited)

@@ -148,6 +148,24 @@ class TestClaimTypes:
             verify_token(signed({**self.CLAIMS, "user_name": user_name}), KEY,
                          now=NOW)
 
+    @pytest.mark.parametrize("claims", [
+        {k: v for k, v in CLAIMS.items() if k != "user_id"},
+        {**CLAIMS, "exp": None},
+        {**CLAIMS, "exp": "abc"},
+    ], ids=["no_user_id", "exp_null", "exp_not_a_number"])
+    def test_incomplete_or_ill_typed_claims_are_rejected(self, claims):
+        with pytest.raises(TokenInvalid, match="incomplete or ill-typed"):
+            verify_token(signed(claims), KEY, now=NOW)
+
+    def test_claims_that_are_json_but_not_an_object_are_rejected(self):
+        with pytest.raises(TokenInvalid, match="not a JSON object"):
+            verify_token(signed(["123", "alice"]), KEY, now=NOW)
+
+    def test_a_claims_part_that_is_not_ascii_is_rejected(self):
+        header, _, signature = signed(self.CLAIMS).split(".")
+        with pytest.raises(TokenInvalid, match="not ASCII"):
+            verify_token(f"{header}.\u00e9t\u00e9.{signature}", KEY, now=NOW)
+
 
 class TestFiniteLifetime:
     @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), -float("inf"),
