@@ -55,12 +55,20 @@ class AccessControlEntry:
 
     @classmethod
     def from_record(cls, record: dict) -> AccessControlEntry:
+        """The entry a journal record holds; a :class:`ValueError` when its
+        path, owner or a user is not a string, or a user list not a list."""
+        users_ro, users_rw = record.get("users_ro", []), record.get("users_rw", [])
+        if not (isinstance(users_ro, list) and isinstance(users_rw, list)):
+            raise ValueError("users_ro and users_rw must be lists")
+        if not all(isinstance(text, str) for text
+                   in (record["path"], record["owner"], *users_ro, *users_rw)):
+            raise ValueError("path, owner and every user must be strings")
         return cls(
             id=int(record["id"]),
             path=record["path"],
             owner=record["owner"],
-            users_ro=tuple(record.get("users_ro", ())),
-            users_rw=tuple(record.get("users_rw", ())),
+            users_ro=tuple(users_ro),
+            users_rw=tuple(users_rw),
         )
 
 

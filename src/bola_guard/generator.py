@@ -56,6 +56,7 @@ from .model import (
     build_document,
     resolved_claims,
     scheme_for_ref,
+    _escape_pointer,
     _unescape_pointer,
 )
 from .validator import has_errors, validate
@@ -413,13 +414,12 @@ def document_from_manifest(manifest: StubManifest) -> EssDocument:
             auth = route.object_auth
             schema_name = _schema_name(route.path, used_names)
             used_names.add(schema_name)
-            scheme_name = _ensure_scheme(schemes, auth)
+            scheme_ref = ("#/components/securitySchemes/" + urllib.parse.quote(
+                _escape_pointer(_ensure_scheme(schemes, auth))))
             id_prop = auth.object_id_property
             scopes: dict = {
-                "groups": {"$ref": f"#/components/securitySchemes/"
-                                   f"{scheme_name}/x-groups"},
-                "user_id": {"$ref": f"#/components/securitySchemes/"
-                                    f"{scheme_name}/x-user_id"},
+                "groups": {"$ref": f"{scheme_ref}/x-groups"},
+                "user_id": {"$ref": f"{scheme_ref}/x-user_id"},
                 "methods": {
                     verb: {"description": _ACTION_DESCRIPTIONS[verb]}
                     for verb in route.methods if verb in _ACTION_DESCRIPTIONS
@@ -435,8 +435,7 @@ def document_from_manifest(manifest: StubManifest) -> EssDocument:
                 "x-objectAuth": {
                     "object": {"$ref": f"#/components/schemas/{schema_name}"
                                        f"/properties/{id_prop}"},
-                    "schema": {"$ref": f"#/components/securitySchemes/"
-                                       f"{scheme_name}"},
+                    "schema": {"$ref": scheme_ref},
                     "scopes": scopes,
                 },
             }
@@ -470,6 +469,9 @@ def _schema_name(path: str, used: set[str]) -> str:
 
 
 def _ensure_scheme(schemes: dict, auth: ObjectAuthAttachment) -> str:
+    """The name of the scheme that ``auth`` is wired to: its own name, or
+    that name with the first free ``_<n>`` suffix when a different scheme
+    holds it already."""
     wanted = {
         "type": "apiKey",
         "name": "api_key",
@@ -479,12 +481,10 @@ def _ensure_scheme(schemes: dict, auth: ObjectAuthAttachment) -> str:
         wanted["x-groups"] = auth.groups_claim
     if auth.user_id_claim is not None:
         wanted["x-user_id"] = auth.user_id_claim
-    for name, existing in schemes.items():
-        if existing == wanted:
-            return name
-    name = CANON_SCHEME_NAME if CANON_SCHEME_NAME not in schemes \
-        else f"{CANON_SCHEME_NAME}_{len(schemes) + 1}"
-    schemes[name] = wanted
+    name, n = auth.scheme_name, 1
+    while schemes.setdefault(name, wanted) != wanted:
+        n += 1
+        name = f"{auth.scheme_name}_{n}"
     return name
 
 

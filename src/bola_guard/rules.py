@@ -7,7 +7,8 @@ requester's groups match the same (path, action) with different ownership
 flags, the rule *not* requiring ownership wins: permissions only ever widen.
 Everything else is deny-by-default.
 
-Rule files are YAML/JSON lists of ``{path, group, actions, ownership}``.
+Rule files are YAML/JSON lists of ``{path, group, actions, ownership}``:
+string path and group, a list of action names, and an optional boolean.
 """
 
 from __future__ import annotations
@@ -91,8 +92,12 @@ def effective_permission(rules: GroupRuleSet, groups: Collection[str], path: str
     return Permission.DENY, None
 
 
+_RULE_FIELDS = {"path": str, "group": str, "actions": list, "ownership": bool}
+
+
 def load_rules(path: str | Path) -> GroupRuleSet:
-    """Load a rule file (YAML or JSON list of rule objects)."""
+    """Load a rule file (YAML or JSON list of rule objects); ``ownership``
+    defaults to true, and any other shape is a :class:`RuleSetError`."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = _load_yaml(text)
@@ -106,15 +111,21 @@ def load_rules(path: str | Path) -> GroupRuleSet:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise RuleSetError(f"rule #{i} must be a mapping")
+        entry = {"ownership": True, **entry}
+        for key, kind in _RULE_FIELDS.items():
+            if key not in entry:
+                raise RuleSetError(f"rule #{i} is missing key {key!r}")
+            if not isinstance(entry[key], kind):
+                raise RuleSetError(f"rule #{i}: {key} must be a {kind.__name__}")
+        if not all(isinstance(action, str) for action in entry["actions"]):
+            raise RuleSetError(f"rule #{i}: actions must be strings")
         try:
             rules.append(GroupRule(
                 path=entry["path"],
                 group=entry["group"],
                 actions=frozenset(parse_action(a) for a in entry["actions"]),
-                ownership_required=bool(entry.get("ownership", True)),
+                ownership_required=entry["ownership"],
             ))
-        except KeyError as exc:
-            raise RuleSetError(f"rule #{i} is missing key {exc}") from exc
         except ValueError as exc:
             raise RuleSetError(f"rule #{i}: {exc}") from exc
     return GroupRuleSet(rules)

@@ -21,12 +21,21 @@ Status codes: 401 token failures, 403 denied decisions (body
 object missing, 201/200/204 for create/read-update/delete, 400 a malformed
 body or ``Content-Length``, 500 any failure (its body and log line name the
 request ``seq``). Rule lookups use the directory template (``/pet``), never
-the concrete URL. The HTTP adapter closes a connection that stays silent for
-:data:`IDLE_TIMEOUT_S` while it waits for the request line or headers; it
-answers a ``Content-Length`` above :data:`MAX_BODY_BYTES` with 413 without
-reading the body, a body that stalls for :data:`IDLE_TIMEOUT_S` with 408, and
-any ``Transfer-Encoding`` with 501; each of these replies closes the
-connection.
+the concrete URL.
+
+The HTTP adapter speaks HTTP/1.1 and keeps a connection open for the next
+request; it sends each reply, status line to body, in one write. It closes
+a connection that stays silent for :data:`IDLE_TIMEOUT_S` while it waits for
+a request line or headers, between kept-alive requests too. It answers a
+``Content-Length`` above :data:`MAX_BODY_BYTES` with 413 without reading the
+body, a body that stalls for :data:`IDLE_TIMEOUT_S` with 408, any
+``Transfer-Encoding`` with 501, and a malformed ``Content-Length``, or
+duplicate ones that differ, with 400 (RFC 9112 §6.3), as it does a header
+line that is not ``name: value``. The body of such a request may still be in
+the socket, so each of these replies carries ``Connection: close`` and
+closes the connection, as does the reply to an HTTP/1.0 request or to one
+that sends ``Connection: close``. A request that sends
+``Expect: 100-continue`` gets such a reply in place of ``100 Continue``.
 
 The core is transport-neutral (:meth:`ReferenceService.handle_request`); a
 thin stdlib HTTP adapter serves it. Handlers never touch business state
@@ -38,11 +47,13 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable
 from urllib.parse import urlsplit
 
@@ -343,48 +354,97 @@ def _parse_body(body: bytes | None) -> dict | None:
 # ---------------------------------------------------------------------------
 # Stdlib HTTP adapter
 
+# A header line as RFC 9112 §5 has it: a token, a colon, then a value with
+# no CR. The stdlib reads other lines in ways a front end may not: it ends
+# the header block at ``Content-Length : 5``, joins a line that starts with
+# a space to the one before it, and splits a line at a bare CR.
+_FIELD_LINE = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+:[^\r\n]*\r?\n")
+
 
 class _Handler(BaseHTTPRequestHandler):
     service: ReferenceService  # set per server
+    protocol_version = "HTTP/1.1"
+    # A reply longer than one segment must not wait on the ACK of its first.
+    disable_nagle_algorithm = True
+    # A request line without a version is answered as HTTP/1.0 (HTTP/0.9
+    # has no status line or header buffer to carry the body), then closed.
+    default_request_version = "HTTP/1.0"
     # Every socket read and write; the stdlib closes a connection whose
-    # request line or headers stall this long.
+    # request line or headers stall this long, also between kept-alive
+    # requests.
     timeout = IDLE_TIMEOUT_S
 
+    def parse_request(self) -> bool:
+        # Keep the raw header lines the stdlib reads, for _body_length.
+        rfile, lines = self.rfile, []
+        self.header_lines = lines
+
+        def readline(size: int = -1) -> bytes:
+            lines.append(rfile.readline(size))
+            return lines[-1]
+
+        self.rfile = SimpleNamespace(readline=readline)
+        try:
+            return super().parse_request()
+        finally:
+            self.rfile = rfile
+
+    def handle_expect_100(self) -> bool:
+        # A body the headers already refuse is refused, not invited.
+        length = self._body_length()
+        if isinstance(length, Response):
+            self._refuse(length)
+            return False
+        return super().handle_expect_100()
+
     def _respond(self) -> None:
-        body = self._read_body()
-        if isinstance(body, Response):
-            response = body
-            # The body, or part of it, is still in the socket.
-            self.close_connection = True
-        else:
-            response = self.service.handle_request(
-                self.command, self.path, dict(self.headers.items()), body)
+        length = self._body_length()
+        if isinstance(length, Response):
+            return self._refuse(length)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            return self._refuse(_error(408, "body_timeout"))
+        self._send(self.service.handle_request(
+            self.command, self.path, dict(self.headers.items()), body))
+
+    do_GET = do_POST = do_PUT = do_DELETE = _respond
+
+    def _refuse(self, response: Response) -> None:
+        # The body, or part of it, may still be in the socket.
+        self.close_connection = True
+        self._send(response)
+
+    def _send(self, response: Response) -> None:
         payload = response.payload()
         self.send_response(response.status)
         if payload:
             self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        if payload:
-            self.wfile.write(payload)
+        # Said either way: an HTTP/1.0 client keeps a connection only when told.
+        self.send_header("Connection",
+                         "close" if self.close_connection else "keep-alive")
+        # One write per reply: the body joins the buffered status and headers.
+        self._headers_buffer.append(b"\r\n" + payload)
+        self.flush_headers()
 
-    do_GET = do_POST = do_PUT = do_DELETE = _respond
-
-    def _read_body(self) -> bytes | Response:
-        """The request body, or the reply that refuses it."""
+    def _body_length(self) -> int | Response:
+        """The request body's length, or the reply that refuses the request
+        on its headers alone."""
+        # The last line read ends the header block.
+        if not all(map(_FIELD_LINE.fullmatch, self.header_lines[:-1])):
+            return _error(400, "invalid_header")
         if self.headers.get("Transfer-Encoding") is not None:
             return _error(501, "transfer_encoding_unsupported")
-        length = _decimal(self.headers.get("Content-Length", "0").strip())
+        # Differing values would leave the socket at no request boundary.
+        lengths = {value.strip() for value
+                   in self.headers.get_all("Content-Length", ["0"])}
+        length = _decimal(lengths.pop()) if len(lengths) == 1 else None
         if length is None:
             return _error(400, "invalid_content_length")
         if length > MAX_BODY_BYTES:
             return _error(413, "body_too_large")
-        if not length:
-            return b""
-        try:
-            return self.rfile.read(length)
-        except TimeoutError:
-            return _error(408, "body_timeout")
+        return length
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         logger.debug("%s - %s", self.address_string(), format % args)

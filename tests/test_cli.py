@@ -280,6 +280,26 @@ class TestServeConfig:
         assert (tmp_path / "acl.ndjson").is_file()
         assert (tmp_path / "acl.ndjson.objects").is_file()
 
+    def test_an_ill_typed_rule_file_exits_1_with_one_error_line(
+            self, tmp_path, monkeypatch, capsys):
+        from bola_guard import service
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bound a port for a bad rule file")
+        monkeypatch.setattr(service, "make_server", refuse)
+        key = tmp_path / "key"
+        key.write_bytes(b"k")
+        rules = tmp_path / "rules.yaml"
+        rules.write_text("- {path: /pet, group: G21, actions: 5}\n",
+                         encoding="utf-8")
+        config = tmp_path / "service.yaml"
+        config.write_text(f"key_path: {key}\nrules_path: {rules}\n"
+                          f"journal_path: {tmp_path / 'acl.ndjson'}\n",
+                          encoding="utf-8")
+        assert main(["serve", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == \
+            "error: rule #0: actions must be a list\n"
+
     def test_non_utf8_config_exits_3(self, tmp_path, capsys):
         config = tmp_path / "service.yaml"
         config.write_bytes(b"host: caf\xe9\n")

@@ -390,6 +390,23 @@ class TestStubReader:
         assert _keeps_facts(bare, files[MANIFEST_NAME], _handlers(files))
         assert roundtrip_check(bare)
 
+    def test_the_manifest_names_each_recovered_scheme(self):
+        manifest = StubManifest.of(tuple(
+            RouteSpec(path, ("get",), ObjectAuthAttachment(
+                scheme, location, "string", "string", "id"))
+            for path, scheme, location in [("/pet", "MyScheme", "header"),
+                                           ("/toy", "a/b~c d%41", "body")]))
+        _, files = render_stub(document_from_manifest(manifest))
+        recovered = recover_document(files[MANIFEST_NAME], _handlers(files))
+        assert list(recovered.raw["components"]["securitySchemes"]) == \
+            ["MyScheme", "a/b~c d%41"]
+        assert validate(recovered) == []
+        assert manifest_from_document(recovered) == manifest
+        # Markers alone name no scheme, so each gets the canonical name.
+        marked = recover_document(None, _handlers(files))
+        assert list(marked.raw["components"]["securitySchemes"]) == \
+            ["X-objectAuthScheme", "X-objectAuthScheme_2"]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", CORPUS)

@@ -134,6 +134,29 @@ class TestRuleFiles:
         with pytest.raises(RuleSetError, match="#1 must be a mapping"):
             load_rules(path)
 
+    @pytest.mark.parametrize("field, message", [
+        ("actions: 5", "actions must be a list"),
+        ("actions: read", "actions must be a list"),
+        ("actions: [5]", "actions must be strings"),
+        ("actions: [[read]]", "actions must be strings"),
+        ("path: 5", "path must be a str"),
+        ("group: [1]", "group must be a str"),
+        ("group: 21", "group must be a str"),
+        ("ownership: 'false'", "ownership must be a bool"),
+        ("ownership: null", "ownership must be a bool"),
+        ("ownership: 0", "ownership must be a bool"),
+    ])
+    def test_an_ill_typed_field_is_a_rule_set_error(self, tmp_path, field,
+                                                     message):
+        rule = {"path": "path: /pet", "group": "group: G21",
+                "actions": "actions: [read]"}
+        rule[field.partition(":")[0]] = field
+        path = tmp_path / "rules.yaml"
+        path.write_text("- " + "\n  ".join(rule.values()) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(RuleSetError, match=f"#0: {message}"):
+            load_rules(path)
+
 
 _WIDTH = {Permission.DENY: 0, Permission.ALLOW_OWN_ONLY: 1, Permission.ALLOW_ANY: 2}
 

@@ -533,7 +533,9 @@ class TestConfig:
 def http_port(tmp_path):
     service = build_service(tmp_path)
     server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown at teardown quick.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
     thread.start()
     yield server.server_address[1]
     server.shutdown()
@@ -543,75 +545,160 @@ def http_port(tmp_path):
     assert not thread.is_alive()
 
 
-def raw_exchange(port, head: str, body: bytes = b"") -> bytes:
-    """Send one request over a plain socket, keep the socket open for
-    writing, and return everything the server sends within 5 s."""
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(head.encode("utf-8") + b"\r\n\r\n" + body)
-        received = b""
+class RawConnection:
+    """A plain socket to the server: requests go out as given, and replies
+    come back one at a time."""
+
+    def __init__(self, port):
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        self.reader = self.sock.makefile("rb")
+
+    def send(self, head: str, body: bytes = b"") -> None:
+        self.sock.sendall(head.encode("utf-8") + b"\r\n\r\n" + body)
+
+    def reply(self) -> tuple[int, dict[str, str], bytes]:
+        """The next reply's status, headers (by lower-cased name) and the
+        body its ``Content-Length`` frames."""
+        status_line = self.reader.readline()
+        assert status_line.startswith(b"HTTP/1.1 "), status_line
+        headers = {}
+        while (line := self.reader.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.lower()] = value.strip()
+        body = self.reader.read(int(headers["content-length"]))
+        return int(status_line.split()[1]), headers, body
+
+    def rest(self, wait: float = IDLE_TIMEOUT_S / 2) -> bytes | None:
+        """Everything the server sends before it closes the socket, or None
+        if it keeps the socket open for ``wait`` seconds."""
+        self.sock.settimeout(wait)
         try:
-            while chunk := sock.recv(65536):
-                received += chunk
-        except socket.timeout:
-            pass
-    return received
+            return self.reader.read()
+        except TimeoutError:
+            return None
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+@pytest.fixture
+def connect(http_port):
+    """Open raw connections to a live server; each closes at teardown."""
+    opened = []
+
+    def open_connection() -> RawConnection:
+        opened.append(RawConnection(http_port))
+        return opened[-1]
+
+    yield open_connection
+    for conn in opened:
+        conn.close()
+
+
+def create_head(length) -> str:
+    return (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
+            f"api_key: {token('123', {'G21'})}\r\n"
+            f"Content-Length: {length}")
 
 
 class TestHttpBoundary:
     @pytest.mark.parametrize("length", ["abc", "-5", "-1", "+5", "1_0", "",
                                         "5x", "\u0665", "9" * 5000])
-    def test_malformed_content_length_is_400(self, http_port, length):
-        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
-                f"api_key: {token('123', {'G21'})}\r\n"
-                f"Content-Length: {length}")
-        reply = raw_exchange(http_port, head, b"{}")
-        status_line, _, rest = reply.partition(b"\r\n")
-        assert status_line.split()[1:2] == [b"400"], reply
-        assert json.loads(rest.partition(b"\r\n\r\n")[2]) == \
+    def test_malformed_content_length_is_400(self, connect, length):
+        assert self._refused(connect(), create_head(length), b"{}", 400) == \
             {"code": 400, "reason": "invalid_content_length"}
 
-    def test_well_formed_content_length_still_creates(self, http_port):
+    def test_well_formed_content_length_still_creates(self, connect):
         body = b'{"name": "lucky"}'
+        conn = connect()
+        conn.send(create_head(len(body)), body)
+        status, _, reply = conn.reply()
+        assert status == 201
+        assert json.loads(reply) == {"id": 1, "name": "lucky"}
+
+    def test_differing_duplicate_content_lengths_are_400_then_eof(self, connect):
+        # Were the first header believed, the tail would be a second request.
+        smuggled = (f"GET /admin/acl HTTP/1.1\r\nHost: x\r\n"
+                    f"api_key: {token('root', {'admin'})}\r\n\r\n").encode()
+        body = b"{}" + smuggled
+        head = f"{create_head(2)}\r\nContent-Length: {len(body)}"
+        assert self._refused(connect(), head, body, 400) == \
+            {"code": 400, "reason": "invalid_content_length"}
+
+    @pytest.mark.parametrize("fields", [
+        "Host: x\r\napi_key: {tok}\r\nContent-Length : {n}",
+        "Host: x\r\napi_key: {tok}\r\nX-Note\r\nContent-Length: {n}",
+        "Host: x\r\napi_key: {tok}\r\nX-Note: a\r\n Content-Length: {n}",
+        "Host: x\r\napi_key: {tok}\r\nX-Note: a\rContent-Length: {n}",
+        " Content-Length: {n}\r\nHost: x\r\napi_key: {tok}",
+    ], ids=["space-before-colon", "no-colon", "folded", "bare-cr",
+            "first-line-folded"])
+    def test_a_header_line_the_stdlib_misreads_is_400_then_eof(self, connect,
+                                                              fields):
+        # A front end and the stdlib may read each line differently: one takes
+        # the admin request for this request's body, the other for a second.
+        smuggled = (f"GET /admin/acl HTTP/1.1\r\nHost: x\r\n"
+                    f"api_key: {token('root', {'admin'})}\r\n\r\n").encode()
+        head = "POST /pet HTTP/1.1\r\n" + fields.format(
+            n=len(smuggled), tok=token("123", {"G21"}))
+        assert self._refused(connect(), head, smuggled, 400) == \
+            {"code": 400, "reason": "invalid_header"}
+
+    @pytest.mark.parametrize("header, status", [
+        ("Content-Length: 5000000", 413),
+        ("Content-Length: 5x", 400),
+        ("Content-Length: 2\r\nTransfer-Encoding: chunked", 501),
+    ], ids=["too-large", "bad-length", "transfer-encoding"])
+    def test_a_refused_expect_100_gets_its_refusal_first(self, connect, header,
+                                                         status):
+        # RFC 9110 §10.1.1: no 100 Continue for a body that will be refused.
         head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
                 f"api_key: {token('123', {'G21'})}\r\n"
-                f"Content-Length: {len(body)}")
-        reply = raw_exchange(http_port, head, body)
-        assert reply.split(b"\r\n", 1)[0].split()[1] == b"201"
-        assert json.loads(reply.partition(b"\r\n\r\n")[2]) == \
-            {"id": 1, "name": "lucky"}
+                f"Expect: 100-continue\r\n{header}")
+        assert self._refused(connect(), head, b"", status)["code"] == status
 
-    def _refused(self, port, head: str, body: bytes, status: bytes) -> dict:
+    def test_an_accepted_expect_100_is_continued(self, connect):
+        conn = connect()
+        conn.send(f"{create_head(2)}\r\nExpect: 100-continue")
+        assert conn.reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert conn.reader.readline() == b"\r\n"
+        conn.sock.sendall(b"{}")
+        assert conn.reply()[0] == 201
+
+    def test_identical_duplicate_content_lengths_count_as_one(self, connect):
+        conn = connect()
+        conn.send(f"{create_head(2)}\r\nContent-Length: 2", b"{}")
+        assert conn.reply()[0] == 201
+
+    @staticmethod
+    def _refused(conn: RawConnection, head: str, body: bytes,
+                 status: int) -> dict:
         """Send a request the adapter must refuse; return the reply body
-        after checking the status and that the server closed the socket."""
-        started = time.monotonic()
-        reply = raw_exchange(port, head, body)
-        assert time.monotonic() - started < 4.5, "the server kept the socket open"
-        assert reply.split(b"\r\n", 1)[0].split()[1:2] == [status], reply
-        return json.loads(reply.partition(b"\r\n\r\n")[2])
+        after checking the status, that the reply says ``Connection: close``,
+        and that the server then closed the socket at once."""
+        conn.send(head, body)
+        got, headers, reply = conn.reply()
+        assert got == status, reply
+        assert headers["connection"] == "close"
+        assert conn.rest() == b""
+        return json.loads(reply)
 
     @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 10 ** 12, 9 ** 99])
-    def test_body_above_the_cap_is_413_unread(self, http_port, length):
-        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
-                f"api_key: {token('123', {'G21'})}\r\n"
-                f"Content-Length: {length}")
-        assert self._refused(http_port, head, b"{}", b"413") == \
+    def test_body_above_the_cap_is_413_unread(self, connect, length):
+        assert self._refused(connect(), create_head(length), b"{}", 413) == \
             {"code": 413, "reason": "body_too_large"}
 
     @pytest.mark.parametrize("encoding", ["chunked", "identity", "gzip, chunked"])
-    def test_any_transfer_encoding_is_501(self, http_port, encoding):
-        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
-                f"api_key: {token('123', {'G21'})}\r\n"
-                f"Transfer-Encoding: {encoding}\r\nContent-Length: 2")
+    def test_any_transfer_encoding_is_501(self, connect, encoding):
+        head = f"{create_head(2)}\r\nTransfer-Encoding: {encoding}"
         body = b"2\r\n{}\r\n0\r\n\r\n"
-        assert self._refused(http_port, head, body, b"501") == \
+        assert self._refused(connect(), head, body, 501) == \
             {"code": 501, "reason": "transfer_encoding_unsupported"}
 
-    def test_a_stalled_body_is_408(self, http_port):
+    def test_a_stalled_body_is_408(self, connect):
         # Content-Length under the cap, but only 2 of its bytes ever arrive.
-        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
-                f"api_key: {token('123', {'G21'})}\r\n"
-                f"Content-Length: 1000000")
-        assert self._refused(http_port, head, b"{}", b"408") == \
+        assert self._refused(connect(), create_head(1000000), b"{}", 408) == \
             {"code": 408, "reason": "body_timeout"}
 
     @pytest.mark.parametrize("sent", [b"", b"GET /pet HTTP/1.1\r\n",
@@ -625,11 +712,56 @@ class TestHttpBoundary:
             assert sock.recv(65536) == b""
         assert IDLE_TIMEOUT_S - 0.5 < time.monotonic() - started < 4.5
 
-    def test_a_body_at_the_cap_is_read(self, http_port):
+    def test_a_body_at_the_cap_is_read(self, connect):
         body = b'{"name": "' + b"x" * (MAX_BODY_BYTES - 12) + b'"}'
         assert len(body) == MAX_BODY_BYTES
-        head = (f"POST /pet HTTP/1.1\r\nHost: x\r\n"
-                f"api_key: {token('123', {'G21'})}\r\n"
-                f"Content-Length: {len(body)}")
-        reply = raw_exchange(http_port, head, body)
-        assert reply.split(b"\r\n", 1)[0].split()[1] == b"201"
+        conn = connect()
+        conn.send(create_head(len(body)), body)
+        assert conn.reply()[0] == 201
+
+    def test_requests_on_one_connection_get_their_replies_in_order(self, connect):
+        body = b'{"name": "lucky"}'
+        read = f"GET /pet/1 HTTP/1.1\r\nHost: x\r\napi_key: {token('9', {'G22'})}"
+        # An HTTP/1.0 client keeps the connection only when it asks to.
+        read_1_0 = (read.replace("HTTP/1.1", "HTTP/1.0")
+                    + "\r\nConnection: keep-alive\r\n\r\n")
+        conn = connect()
+        # Pipelined: the read arrives before the create is answered.
+        conn.send(create_head(len(body)), body + read_1_0.encode())
+        replies = [conn.reply(), conn.reply()]
+        conn.send(read)
+        replies.append(conn.reply())
+        assert [(status, json.loads(reply)) for status, _, reply in replies] == \
+            [(201, {"id": 1, "name": "lucky"})] + \
+            [(200, {"id": 1, "name": "lucky"})] * 2
+        assert [headers["connection"] for _, headers, _ in replies] == \
+            ["keep-alive"] * 3
+
+    @pytest.mark.parametrize("request_line, header", [
+        ("GET /pet HTTP/1.0", ""),
+        ("GET /pet HTTP/1.1", "Connection: close\r\n"),
+        ("GET /pet", ""),
+    ])
+    def test_a_request_that_asks_for_close_gets_its_reply_then_eof(
+            self, connect, request_line, header):
+        conn = connect()
+        conn.send(f"{request_line}\r\nHost: x\r\n{header}"
+                  f"api_key: {token('9', {'G22'})}")
+        status, headers, reply = conn.reply()
+        assert (status, json.loads(reply)) == (200, [])
+        assert headers["connection"] == "close"
+        assert conn.rest() == b""
+
+    def test_an_idle_kept_alive_connection_is_closed_after_the_idle_timeout(
+            self, connect):
+        probe = f"GET /pet HTTP/1.1\r\nHost: x\r\napi_key: {token('9', {'G22'})}"
+        idle = connect()
+        idle.send(probe)
+        assert idle.reply()[0] == 200
+        started = time.monotonic()
+        assert idle.rest(wait=IDLE_TIMEOUT_S + 2.5) == b""
+        assert IDLE_TIMEOUT_S - 0.5 < time.monotonic() - started \
+            < IDLE_TIMEOUT_S + 2.5
+        fresh = connect()
+        fresh.send(probe)
+        assert fresh.reply()[0] == 200

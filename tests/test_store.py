@@ -145,6 +145,26 @@ class TestReplay:
         with pytest.raises(CorruptJournalError):
             AclStore.open(location)
 
+    @pytest.mark.parametrize("fields", [
+        {"owner": 5},
+        {"owner": None},
+        {"path": 5},
+        {"path": ["/pet"]},
+        {"users_ro": [5]},
+        {"users_rw": ["123", None]},
+        {"users_ro": "456"},
+        {"users_rw": {"123": True}},
+    ])
+    def test_an_ill_typed_record_is_corrupt(self, tmp_path, fields):
+        location = tmp_path / "acl.ndjson"
+        with AclStore.open(location) as store:
+            store.put(ace(1))
+        record = {**ace(2).to_record(), **fields}
+        with open(location, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n" + ace(3).to_json() + "\n")
+        with pytest.raises(CorruptJournalError, match="line 2"):
+            AclStore.open(location)
+
 
 class TestIdAllocation:
     def test_next_id_is_monotonic_per_path(self, tmp_path):
