@@ -20,11 +20,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bola_guard"
 
-# Lines that no test can run, by file and stripped text: the subclass hooks
-# of JournalStore (only its subclasses are built) and the call under cli's
-# ``if __name__ == "__main__":`` (the tests call ``main``).
+# Lines that no test can run, by file and stripped text: JournalStore's two
+# subclass hooks, ``_encode`` and ``_decode`` (only its subclasses are
+# built), and the call under cli's ``if __name__ == "__main__":`` (the tests
+# call ``main``).
 ALLOWED = Counter({
-    ("store.py", "raise NotImplementedError"): 3,
+    ("store.py", "raise NotImplementedError"): 2,
     ("cli.py", "sys.exit(main())"): 1,
 })
 

@@ -1,6 +1,5 @@
-"""Runtime authorization decisions: group rules first, then object ownership.
-
-The decision pipeline for an object access:
+"""Runtime authorization decisions, one per request: group rules first, then
+object ownership. The decision pipeline for an object access:
 
 1. Compute the effective permission of the requester's groups for
    (path, action). No matching rule means deny; nothing is implicit.
@@ -11,8 +10,13 @@ The decision pipeline for an object access:
    RW list and writes need the RW list. A missing entry denies, since
    ownership cannot be proven.
 
+A listing is a read of the whole path (``object_id`` None) and stops after
+step 2: ``allow_own_only`` grants ``ownership_grant``, and the caller sees
+only the objects the ACL store's reader index lists for them.
+
 Creations are group-gated only; the ACL entry is recorded afterwards via
 :meth:`AuthzEngine.record_creation` once the handler has assigned an id.
+ACL inspection needs :data:`ADMIN_GROUP`, whatever the rule table says.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .errors import DuplicateObjectError, NoSuchObjectError
 from .rules import GroupRule, GroupRuleSet, Permission, effective_permission
 from .store import AclStore
 from .tokens import AuthToken
+
+ADMIN_GROUP = "admin"
 
 
 class DecisionReason(str, Enum):
@@ -81,16 +87,22 @@ class AuthzEngine:
         return self.store.put(ace)
 
     def authorize_access(self, token: AuthToken, path: str, action: Action,
-                         object_id: int) -> AuthzDecision:
-        """Decide read/update/delete on one object."""
+                         object_id: int | None) -> AuthzDecision:
+        """Decide read/update/delete on one object, or with ``object_id``
+        None a read of every object of ``path``."""
         if action is Action.CREATE:
             raise ValueError("use authorize_create for creations")
+        if object_id is None and action is not Action.READ:
+            raise ValueError(f"{action.value} needs an object id")
         permission, rule = effective_permission(self.rules, token.groups, path,
                                                 action)
         if permission is Permission.DENY:
             return AuthzDecision(False, DecisionReason.NO_GROUP_RULE)
         if permission is Permission.ALLOW_ANY:
             return AuthzDecision(True, DecisionReason.GROUP_GRANT, rule)
+        if object_id is None:
+            # Each listed object is proven by the reader index instead.
+            return AuthzDecision(True, DecisionReason.OWNERSHIP_GRANT, rule)
 
         # Ownership required: prove it through the ACL entry.
         ace = self.store.get(path, object_id)
@@ -103,6 +115,12 @@ class AuthzEngine:
         if listed:
             return AuthzDecision(True, DecisionReason.ACL_GRANT, rule)
         return AuthzDecision(False, DecisionReason.NOT_OWNER, rule)
+
+    def authorize_admin(self, token: AuthToken) -> AuthzDecision:
+        """Decide ACL inspection: members of :data:`ADMIN_GROUP` only."""
+        if ADMIN_GROUP in token.groups:
+            return AuthzDecision(True, DecisionReason.GROUP_GRANT)
+        return AuthzDecision(False, DecisionReason.NO_GROUP_RULE)
 
     def grant(self, actor_id: str, object_id: int, path: str, grantee: str,
               level: str) -> AccessControlEntry:

@@ -1,20 +1,22 @@
 """Reference petstore-shaped HTTP service enforcing object-level authorization.
 
-Request pipeline: verify the ``api_key`` header token, then
+Request pipeline: verify the ``api_key`` header token, route the request,
+take the one engine decision (a deny is 403), then run a handler that
+decides nothing:
 
-* ``POST /<dir>``: group check, create the object, record its ACL entry;
-* ``GET/PUT/DELETE /<dir>/{id}``: per-object decision, then act; an update
-  or delete checks that the object exists and writes under the one write
-  lock that creations take, so no object outlives its ACL entry;
-* ``GET /<dir>``: listing filtered to objects the caller may read. The
-  group rules are resolved once per listing; a reader group then gets the
-  path's bucket, and an own-only caller gets the ids in the ACL store's
-  reader index. Either way the cost is O(visible objects), not O(stored);
+* ``POST /<dir>``: create the object, record its ACL entry;
+* ``GET/PUT/DELETE /<dir>/{id}``: act on the object; an update or delete
+  checks that the object exists and writes under the one write lock that
+  creations take, so no object outlives its ACL entry;
+* ``GET /<dir>``: listing filtered to objects the caller may read: the
+  path's bucket on ``group_grant``, the ids in the ACL store's reader index
+  on ``ownership_grant``. Either way the cost is O(visible objects);
 * ``GET /admin/acl``: ACL inspection, ``admin`` group required.
 
 Routes are exactly the rule table's paths, with ids in canonical ASCII
 decimal (``/pet/1``, never ``/pet/+1`` or ``/pet/01``); anything else is 404
-``unknown_route``. Every object in a reply carries the server's id.
+``unknown_route``, and a verb a route does not take 405. Every object in a
+reply carries the server's id.
 
 Status codes: 401 token failures, 403 denied decisions (body
 ``{"code", "reason"}`` echoing the decision reason), 404 authorized but
@@ -63,32 +65,16 @@ from .actions import VERB_TO_ACTION, Action
 from .engine import AuthzEngine, DecisionReason
 from .errors import DocumentSyntaxError, StorageError, StructureError, TokenError
 from .model import _load_yaml
-from .rules import (
-    GroupRuleSet,
-    Permission,
-    default_rule_set,
-    effective_permission,
-    load_rules,
-)
+from .rules import GroupRuleSet, default_rule_set, load_rules
 from .store import AclStore, ObjectStore
 from .tokens import verify_token
 
 logger = logging.getLogger(__name__)
 
 TOKEN_HEADER = "api_key"
-ADMIN_GROUP = "admin"
+ADMIN_PATH = "/admin/acl"
 MAX_BODY_BYTES = 1 << 20
 IDLE_TIMEOUT_S = 2.0
-
-_VERB_ACTIONS = {verb: action for verb, action in VERB_TO_ACTION.items()
-                 if action is not Action.CREATE}
-
-# A listing is decided once, for every object of the path at the same time.
-_LIST_REASONS = {
-    Permission.DENY: DecisionReason.NO_GROUP_RULE,
-    Permission.ALLOW_ANY: DecisionReason.GROUP_GRANT,
-    Permission.ALLOW_OWN_ONLY: DecisionReason.OWNERSHIP_GRANT,
-}
 
 
 @dataclass
@@ -209,41 +195,60 @@ class ReferenceService:
         except TokenError:
             return _error(401, DecisionReason.TOKEN_INVALID.value)
 
-        if path == "/admin/acl":
-            return self._admin_list_acl(token, method)
+        route = self._route(path, method)
+        if isinstance(route, Response):
+            return route
+        template, action, object_id = route
 
-        template, object_id = self._route(path)
-        if template is None:
-            return _error(404, "unknown_route")
+        # The one decision point. A decision taken here, before _write_lock,
+        # cannot go stale: while serving, an ACL entry changes only on create
+        # and delete, ids never repeat within a process (_max_ids only
+        # grows), and grant and compact run offline.
+        if template == ADMIN_PATH:
+            decision = self.engine.authorize_admin(token)
+        elif action is Action.CREATE:
+            decision = self.engine.authorize_create(token, template)
+        else:
+            decision = self.engine.authorize_access(token, template, action,
+                                                    object_id)
+        self._emit(seq, "decision", path=template, action=action.value,
+                   allowed=decision.allowed, reason=decision.reason.value,
+                   id=object_id)
+        if not decision.allowed:
+            return _error(403, decision.reason.value)
 
-        if method == "post" and object_id is None:
+        if template == ADMIN_PATH:
+            return Response(200, [ace.to_record()
+                                  for ace in self.engine.store.entries()])
+        if action is Action.CREATE:
             return self._create(seq, token, template, body)
-        if method == "get" and object_id is None:
-            return self._list(seq, token, template)
-        if object_id is not None and method in _VERB_ACTIONS:
-            return self._object_access(seq, token, template, object_id,
-                                       _VERB_ACTIONS[method], body)
-        return _error(405, "method_not_allowed")
+        if object_id is None:
+            return self._list(token, template, decision.reason)
+        if action is Action.READ:
+            return self._read(template, object_id)
+        return self._write(seq, template, object_id, action, body)
 
-    def _route(self, path: str) -> tuple[str | None, int | None]:
-        if path in self.templates:
-            return path, None
-        head, _, tail = path.rpartition("/")
-        object_id = _decimal(tail)
-        if head in self.templates and object_id is not None \
-                and str(object_id) == tail:
-            return head, object_id
-        return None, None
-
-    # ------------------------------------------------------------------
+    def _route(self, path: str, method: str
+               ) -> tuple[str, Action, int | None] | Response:
+        """The request's (template, action, object id), or the 404 of a path
+        that names no route or the 405 of a verb its route does not take."""
+        if path == ADMIN_PATH:
+            template, object_id, verbs = path, None, ("get",)
+        elif path in self.templates:
+            template, object_id, verbs = path, None, ("post", "get")
+        else:
+            template, _, tail = path.rpartition("/")
+            object_id = _decimal(tail)
+            if template not in self.templates or object_id is None \
+                    or str(object_id) != tail:
+                return _error(404, "unknown_route")
+            verbs = ("get", "put", "delete")
+        if method not in verbs:
+            return _error(405, "method_not_allowed")
+        return template, VERB_TO_ACTION[method], object_id
 
     def _create(self, seq: int, token, template: str,
                 body: bytes | None) -> Response:
-        decision = self.engine.authorize_create(token, template)
-        self._emit(seq, "decision", path=template, action="create",
-                   allowed=decision.allowed, reason=decision.reason.value)
-        if not decision.allowed:
-            return _error(403, decision.reason.value)
         document = _parse_body(body)
         if document is None:
             return _error(400, "invalid_body")
@@ -258,20 +263,14 @@ class ReferenceService:
             self._emit(seq, "object_created", path=template, id=object_id)
         return Response(201, _view(object_id, document))
 
-    def _object_access(self, seq: int, token, template: str, object_id: int,
-                       action: Action, body: bytes | None) -> Response:
-        decision = self.engine.authorize_access(token, template, action, object_id)
-        self._emit(seq, "decision", path=template, action=action.value,
-                   allowed=decision.allowed, reason=decision.reason.value,
-                   id=object_id)
-        if not decision.allowed:
-            return _error(403, decision.reason.value)
-        if action is Action.READ:
-            stored = self.objects.get(template, object_id)
-            if stored is None:
-                return _error(404, "no_such_object")
-            return Response(200, _view(object_id, stored["body"]))
+    def _read(self, template: str, object_id: int) -> Response:
+        stored = self.objects.get(template, object_id)
+        if stored is None:
+            return _error(404, "no_such_object")
+        return Response(200, _view(object_id, stored["body"]))
 
+    def _write(self, seq: int, template: str, object_id: int, action: Action,
+               body: bytes | None) -> Response:
         document = _parse_body(body) if action is Action.UPDATE else None
         with self._write_lock:
             if self.objects.get(template, object_id) is None:
@@ -289,19 +288,12 @@ class ReferenceService:
             self._emit(seq, "object_deleted", path=template, id=object_id)
         return Response(204)
 
-    def _list(self, seq: int, token, template: str) -> Response:
-        permission, _ = effective_permission(self.engine.rules, token.groups,
-                                             template, Action.READ)
-        reason = _LIST_REASONS[permission].value
-        self._emit(seq, "decision", path=template, action="read",
-                   allowed=permission is not Permission.DENY, reason=reason)
-        if permission is Permission.DENY:
-            return _error(403, reason)
-        if permission is Permission.ALLOW_ANY:
+    def _list(self, token, template: str, reason: DecisionReason) -> Response:
+        if reason is DecisionReason.GROUP_GRANT:
             visible = self.objects.in_path(template)
         else:
-            # Own-only: the objects whose ACL entry names the caller. An ACL
-            # entry without an object stays hidden, as does an object
+            # Ownership grant: the objects whose ACL entry names the caller.
+            # An ACL entry without an object stays hidden, as does an object
             # without an ACL entry.
             ids = self.engine.store.readable_ids(template, token.user_id)
             visible = [stored for stored in
@@ -309,13 +301,6 @@ class ReferenceService:
                        if stored is not None]
         return Response(200, [_view(stored["id"], stored["body"])
                               for stored in visible])
-
-    def _admin_list_acl(self, token, method: str) -> Response:
-        if method != "get":
-            return _error(405, "method_not_allowed")
-        if ADMIN_GROUP not in token.groups:
-            return _error(403, DecisionReason.NO_GROUP_RULE.value)
-        return Response(200, [ace.to_record() for ace in self.engine.store.entries()])
 
 
 def _wall_clock() -> float:

@@ -4,8 +4,9 @@ The journal is newline-delimited JSON, one record per line: either a value
 upsert or a tombstone ``{"op": "del", "id": ..., "path": ...}``. Opening a
 store replays the journal; a partial trailing record (torn write) is dropped
 with a warning and the file is repaired, while damage before the final record
-raises :class:`CorruptJournalError`. Appends are flushed and fsynced before
-they are applied in memory, so an acknowledged write survives a crash.
+or an ill-typed record anywhere (``_decode`` raises ``ValueError``) raises
+:class:`CorruptJournalError`. Appends are flushed and fsynced before they are
+applied in memory, so an acknowledged write survives a crash.
 
 Live entries sit in per-path buckets, ``{path: {id: value}}``, so reading one
 path never touches another. Every change of an entry, whether from replay,
@@ -70,9 +71,6 @@ class JournalStore(Generic[T]):
     def _decode(self, record: dict) -> T:
         raise NotImplementedError
 
-    def _key_of(self, value: T) -> tuple[str, int]:
-        raise NotImplementedError
-
     def _reset(self) -> None:
         """Start with no entries; a subclass also empties its index here."""
         self._buckets: dict[str, dict[int, T]] = {}
@@ -132,12 +130,13 @@ class JournalStore(Generic[T]):
         if record.get("op") == "del":
             self._remove(record["path"], int(record["id"]))
             return
-        self._install(self._decode(record))
+        self._install(record, self._decode(record))
 
     # Mutation -------------------------------------------------------------
 
-    def _install(self, value: T) -> None:
-        path, object_id = self._key_of(value)
+    def _install(self, record: dict, value: T) -> None:
+        """Make ``value`` the live entry of the key its ``record`` names."""
+        path, object_id = record["path"], int(record["id"])
         bucket = self._buckets.get(path)
         if bucket is None:
             bucket = self._buckets[path] = {}
@@ -165,7 +164,7 @@ class JournalStore(Generic[T]):
         record = self._encode(value)
         with self._lock:
             self._append(record)
-            self._install(value)
+            self._install(record, value)
             self.journal_position += 1
         return value
 
@@ -206,25 +205,25 @@ class JournalStore(Generic[T]):
     def compact(self) -> int:
         """Rewrite the journal with live entries only; returns records written.
 
-        The buckets and index are then rebuilt from those entries, as a
+        The buckets and index are then rebuilt from the records written, as a
         reopen would build them. Drops history, so ids of deleted objects may
         be handed out again by :meth:`next_id` after a reopen. Run offline:
         a reader during the rebuild may miss entries.
         """
         with self._lock:
-            live = self.entries()
+            live = [(self._encode(value), value) for value in self.entries()]
             tmp = self.location.with_suffix(self.location.suffix + ".compact")
             with open(tmp, "w", encoding="utf-8") as fh:
-                for value in live:
-                    fh.write(json.dumps(self._encode(value)) + "\n")
+                for record, _ in live:
+                    fh.write(json.dumps(record) + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
             self._fh.close()
             os.replace(tmp, self.location)
             self._fh = open(self.location, "a", encoding="utf-8")
             self._reset()
-            for value in live:
-                self._install(value)
+            for record, value in live:
+                self._install(record, value)
             self.journal_position = len(live)
             return len(live)
 
@@ -253,9 +252,6 @@ class AclStore(JournalStore[AccessControlEntry]):
 
     def _decode(self, record: dict) -> AccessControlEntry:
         return AccessControlEntry.from_record(record)
-
-    def _key_of(self, value: AccessControlEntry) -> tuple[str, int]:
-        return (value.path, value.id)
 
     def _reset(self) -> None:
         super()._reset()
@@ -294,8 +290,7 @@ class ObjectStore(JournalStore[dict]):
         return {"id": value["id"], "path": value["path"], "body": value["body"]}
 
     def _decode(self, record: dict) -> dict:
-        return {"id": int(record["id"]), "path": record["path"],
-                "body": record["body"]}
-
-    def _key_of(self, value: dict) -> tuple[str, int]:
-        return (value["path"], int(value["id"]))
+        path, body = record["path"], record["body"]
+        if not isinstance(path, str) or not isinstance(body, dict):
+            raise ValueError("path must be a string and body an object")
+        return {"id": int(record["id"]), "path": path, "body": body}

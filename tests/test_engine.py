@@ -13,6 +13,7 @@ from bola_guard import (
     AuthzEngine,
     DecisionReason,
     DuplicateObjectError,
+    GroupRule,
     GroupRuleSet,
     NoSuchObjectError,
     NotOwnerError,
@@ -124,6 +125,62 @@ class TestAuthorizeAccess:
         with pytest.raises(ValueError):
             engine.authorize_access(claims("1", {"G21"}), "/pet",
                                     Action.CREATE, 1)
+
+
+class TestAuthorizeListing:
+    """``object_id`` None: a read of every object of the path."""
+
+    @pytest.mark.parametrize("groups, reason, rule_group", [
+        ({"G23"}, DecisionReason.NO_GROUP_RULE, None),
+        (set(), DecisionReason.NO_GROUP_RULE, None),
+        ({"G22"}, DecisionReason.GROUP_GRANT, "G22"),
+        ({"G21", "G22"}, DecisionReason.GROUP_GRANT, "G22"),
+        ({"G21"}, DecisionReason.OWNERSHIP_GRANT, "G21"),
+    ])
+    def test_the_rules_alone_decide_a_listing(self, engine, groups, reason,
+                                              rule_group):
+        decision = engine.authorize_access(claims("123", groups), "/pet",
+                                           Action.READ, None)
+        assert decision.reason is reason
+        assert decision.allowed is (reason is not DecisionReason.NO_GROUP_RULE)
+        assert getattr(decision.matched_rule, "group", None) == rule_group
+
+    def test_an_own_only_listing_looks_up_no_entry(self, engine, monkeypatch):
+        def fail(path, object_id):
+            raise AssertionError("ACL lookup")
+
+        monkeypatch.setattr(engine.store, "get", fail)
+        decision = engine.authorize_access(claims("123", {"G21"}), "/pet",
+                                           Action.READ, None)
+        assert decision.reason is DecisionReason.OWNERSHIP_GRANT
+
+    @pytest.mark.parametrize("action", [Action.UPDATE, Action.DELETE])
+    def test_a_write_needs_an_object_id(self, engine, action):
+        with pytest.raises(ValueError, match="needs an object id"):
+            engine.authorize_access(claims("123", {"G21", "G23"}), "/pet",
+                                    action, None)
+
+
+class TestAuthorizeAdmin:
+    @pytest.mark.parametrize("groups, allowed, reason", [
+        ({"admin"}, True, DecisionReason.GROUP_GRANT),
+        ({"admin", "G21"}, True, DecisionReason.GROUP_GRANT),
+        ({"G11", "G21", "G22", "G23"}, False, DecisionReason.NO_GROUP_RULE),
+        (set(), False, DecisionReason.NO_GROUP_RULE),
+    ])
+    def test_only_the_admin_group_inspects_the_acl(self, engine, groups,
+                                                   allowed, reason):
+        decision = engine.authorize_admin(claims("0", groups))
+        assert (decision.allowed, decision.reason) == (allowed, reason)
+        assert decision.matched_rule is None
+
+    def test_the_rule_table_cannot_grant_inspection(self, tmp_path):
+        rules = GroupRuleSet([GroupRule("/admin/acl", "G21", frozenset(Action),
+                                        ownership_required=False)])
+        with AclStore.open(tmp_path / "acl.ndjson") as store:
+            decision = AuthzEngine(rules, store).authorize_admin(
+                claims("0", {"G21"}))
+        assert not decision.allowed
 
 
 class TestGrant:

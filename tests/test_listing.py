@@ -169,6 +169,61 @@ def test_listings_equal_the_brute_force_filter(ops):
             run.service.close()
 
 
+OWNERS = ("a", "b", "c")
+# No rule, own-only, any-reader, delete-only, and own-only plus any-reader.
+CALLER_GROUPS = [set(), {"G21"}, {"G22"}, {"G23"}, {"G21", "G22"}]
+
+pet_steps = st.lists(st.one_of(
+    st.tuples(st.just("create"), st.sampled_from(OWNERS), st.integers(0, 9)),
+    st.tuples(st.just("grant"), st.integers(0, 99), st.sampled_from(OWNERS),
+              st.sampled_from(("ro", "rw"))),
+    st.tuples(st.just("delete"), st.integers(0, 99), st.booleans()),
+), max_size=12)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(pet_steps)
+def test_a_listing_holds_exactly_the_objects_each_read_returns(steps):
+    """Metamorphic: for every caller, ``GET /pet`` lists, in id order, the
+    bodies of exactly the ids whose ``GET /pet/{id}`` is 200. The two are
+    decided by different engine calls and served from different indexes."""
+    with tempfile.TemporaryDirectory() as directory:
+        service = build_service(Path(directory))
+        try:
+            owners = {}
+            for step in steps:
+                live = sorted(owners)
+                if step[0] == "create":
+                    _, owner, n = step
+                    response = request(service, "POST", "/pet",
+                                       token(owner, {"G21"}), {"n": n})
+                    owners[response.body["id"]] = owner
+                elif live and step[0] == "grant":
+                    _, pick, grantee, level = step
+                    object_id = live[pick % len(live)]
+                    service.engine.grant(owners[object_id], object_id, "/pet",
+                                         grantee, level)
+                elif live:
+                    _, pick, by_owner = step
+                    object_id = live[pick % len(live)]
+                    deleter = (token(owners.pop(object_id), {"G21"}) if by_owner
+                               else token(owners.pop(object_id) + "x", {"G23"}))
+                    assert request(service, "DELETE", f"/pet/{object_id}",
+                                   deleter).status == 204
+            ids = range(1, service.engine.store.next_id("/pet") + 1)
+            for user in OWNERS + ("d",):
+                for groups in CALLER_GROUPS:
+                    caller = token(user, groups)
+                    listing = request(service, "GET", "/pet", caller)
+                    reads = [request(service, "GET", f"/pet/{object_id}", caller)
+                             for object_id in ids]
+                    listed = listing.body if listing.status == 200 else []
+                    assert listed == [r.body for r in reads if r.status == 200], \
+                        (user, sorted(groups))
+        finally:
+            service.close()
+
+
 def test_orphans_and_order(tmp_path):
     service = build_service(tmp_path)
     try:

@@ -13,6 +13,7 @@ import requests
 from bola_guard import (
     AclStore,
     Action,
+    CorruptJournalError,
     GroupRule,
     GroupRuleSet,
     ObjectStore,
@@ -48,7 +49,11 @@ def service(tmp_path, events):
 
 def build_service(tmp_path, events=None, clock=lambda: NOW, rules=None):
     acl = AclStore.open(tmp_path / "acl.ndjson")
-    objects = ObjectStore.open(tmp_path / "objects.ndjson")
+    try:
+        objects = ObjectStore.open(tmp_path / "objects.ndjson")
+    except Exception:
+        acl.close()
+        raise
     observer = (lambda event, payload: events.append((event, payload))) \
         if events is not None else None
     rules = default_rule_set() if rules is None else rules
@@ -453,6 +458,49 @@ class TestDecisionOrdering:
                 for event, payload in events if event == "decision"] == \
             [(allowed, reason)]
 
+    @pytest.mark.parametrize("method, url, user, groups, status", [
+        ("POST", "/pet", "123", {"G21"}, 201),
+        ("POST", "/pet", "123", {"G22"}, 403),
+        ("GET", "/pet", "123", {"G21"}, 200),
+        ("GET", "/pet", "9", {"G22"}, 200),
+        ("GET", "/pet", "123", {"G23"}, 403),
+        ("GET", "/pet/1", "123", {"G21"}, 200),
+        ("GET", "/pet/1", "456", {"G21"}, 403),
+        ("GET", "/pet/9", "9", {"G22"}, 404),
+        ("PUT", "/pet/1", "123", {"G21"}, 200),
+        ("PUT", "/pet/1", "456", {"G21"}, 403),
+        ("DELETE", "/pet/1", "123", {"G21"}, 204),
+        ("DELETE", "/pet/1", "9", {"G23"}, 204),
+        ("DELETE", "/pet/1", "9", {"G22"}, 403),
+        ("GET", "/admin/acl", "0", {"admin"}, 200),
+        ("GET", "/admin/acl", "123", {"G21"}, 403),
+    ])
+    def test_each_routed_request_is_decided_once_before_it_mutates(
+            self, service, events, method, url, user, groups, status):
+        request(service, "POST", "/pet", token("123", {"G21"}), {"n": 1})
+        events.clear()
+        response = request(service, method, url, token(user, groups), {"n": 2})
+        assert response.status == status
+        assert [event for event, _ in events].count("decision") == 1
+        event, payload = events[0]
+        assert event == "decision"
+        assert payload["allowed"] is (status != 403)
+
+    @pytest.mark.parametrize("method, url, tok, status", [
+        ("GET", "/pet/1", None, 401),
+        ("GET", "/pet/1", "garbage", 401),
+        ("GET", "/cat", token("123", {"G21"}), 404),
+        ("POST", "/pet/1", token("123", {"G21"}), 405),
+        ("PUT", "/pet", token("123", {"G21"}), 405),
+        ("DELETE", "/admin/acl", token("0", {"admin"}), 405),
+    ])
+    def test_an_unrouted_request_is_not_decided(self, service, events,
+                                                method, url, tok, status):
+        request(service, "POST", "/pet", token("123", {"G21"}), {})
+        events.clear()
+        assert request(service, method, url, tok, {}).status == status
+        assert events == []
+
     def test_denied_requests_mutate_nothing(self, service, events):
         request(service, "POST", "/pet", token("123", {"G22"}), {})
         assert not [e for e, _ in events if e in MUTATION_EVENTS]
@@ -478,6 +526,18 @@ class TestRestart:
             assert fresh == 3
         finally:
             second.close()
+
+
+    def test_an_ill_typed_object_journal_is_refused_not_served(self, tmp_path):
+        first = build_service(tmp_path)
+        request(first, "POST", "/pet", token("123", {"G21"}), {"n": 1})
+        first.close()
+        # The owner's object, now with a body that is not a JSON object: it
+        # used to open cleanly and then answer the owner's reads with 500.
+        with open(tmp_path / "objects.ndjson", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": 1, "path": "/pet", "body": [1, 2]}) + "\n")
+        with pytest.raises(CorruptJournalError, match="line 2"):
+            build_service(tmp_path)
 
 
 class TestHttpAdapter:

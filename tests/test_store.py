@@ -272,6 +272,25 @@ class TestObjectStore:
         with ObjectStore.open(location) as store:
             assert store.get("/pet", 1)["body"] == {"name": "lucky"}
 
+    @pytest.mark.parametrize("fields", [
+        {"path": 5},
+        {"path": None},
+        {"path": ["/pet"]},
+        {"body": [1, 2]},
+        {"body": "lucky"},
+        {"body": None},
+        {"body": 5},
+    ])
+    def test_an_ill_typed_record_is_corrupt(self, tmp_path, fields):
+        location = tmp_path / "objects.ndjson"
+        with ObjectStore.open(location) as store:
+            store.put({"id": 1, "path": "/pet", "body": {}})
+        record = {"id": 2, "path": "/pet", "body": {"n": 2}, **fields}
+        with open(location, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(CorruptJournalError, match="line 2"):
+            ObjectStore.open(location)
+
 
 class TestConcurrency:
     def test_readers_never_observe_torn_entries(self, tmp_path):
