@@ -27,10 +27,8 @@ LETTER_TO_ACTION: dict[str, Action] = {
     "D": Action.DELETE,
 }
 
-# All verbs that may carry an operation in a path item; only the four above map to actions.
-HTTP_VERBS = ("get", "put", "post", "delete", "options", "head", "patch", "trace")
-
-# Canonical ordering used wherever route methods are serialized.
+# All verbs that may carry an operation in a path item, in the canonical order
+# used wherever route methods are serialized; only the four above map to actions.
 VERB_ORDER = ("post", "get", "put", "delete", "patch", "head", "options", "trace")
 
 

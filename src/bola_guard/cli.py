@@ -22,8 +22,6 @@ from . import __version__
 from .errors import (
     BolaGuardError,
     DocumentSyntaxError,
-    NoSuchObjectError,
-    NotOwnerError,
     StructureError,
 )
 from .engine import AuthzEngine
@@ -263,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError, DocumentSyntaxError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (NotOwnerError, NoSuchObjectError, BolaGuardError) as exc:
+    except BolaGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
 

@@ -33,7 +33,7 @@ from typing import Any, Mapping
 
 import yaml
 
-from .actions import Action, HTTP_VERBS, action_for_key
+from .actions import VERB_ORDER, Action, action_for_key
 from .errors import (
     CyclicRefError,
     DanglingRefError,
@@ -305,13 +305,15 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
 
 
 def _load_yaml(text: str) -> Any:
-    """Decode YAML text with libyaml when PyYAML was built with it, else with
-    the pure-Python loader. Malformed text raises :class:`yaml.YAMLError`.
-    Both build the same safe tree from ordinary documents. They part only on
-    edge cases: libyaml accepts a tab after a plain scalar, which the pure
-    loader rejects, and reads a bare ``!`` tag as ``''`` rather than None."""
+    """Decode YAML text; malformed text raises :class:`yaml.YAMLError`.
+    libyaml decodes it when PyYAML was built with it, except text with a tab
+    or a ``!``: there libyaml parts from the pure-Python loader (it accepts a
+    tab after a plain scalar and reads a bare ``!`` tag as ``''``, not None),
+    so the pure loader decides, and the verdict does not hang on the build."""
+    loader = yaml.SafeLoader if "\t" in text or "!" in text \
+        else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        return yaml.load(text, Loader=loader)
     except UnicodeEncodeError as exc:
         # libyaml reads UTF-8: a lone surrogate, which the pure reader rejects.
         raise yaml.YAMLError(f"unencodable character: {exc}") from exc
@@ -426,7 +428,7 @@ def _parse_paths(tree: dict, schemas: dict[str, ObjectSchema]) -> dict[str, Path
         if not isinstance(body, dict):
             raise StructureError(f"path item {path!r} must be a mapping")
         operations = {verb: node for verb, node in body.items()
-                      if verb in HTTP_VERBS}
+                      if verb in VERB_ORDER}
         method_bindings: dict[str, ObjectAuthBinding] = {}
         for verb, op in operations.items():
             if not isinstance(op, dict):
@@ -630,7 +632,7 @@ def canonicalize_tree(tree: dict) -> dict:
     if isinstance(paths, dict):
         for item in paths.values():
             _rename_ci(item, _KEY_OBJECTS, CANON_OBJECTS)
-            for verb in HTTP_VERBS:
+            for verb in VERB_ORDER:
                 op = item.get(verb)
                 if isinstance(op, dict):
                     _rename_ci(op, _KEY_OBJECT_AUTH, CANON_OBJECT_AUTH_METHOD)

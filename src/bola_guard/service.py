@@ -152,7 +152,11 @@ class ReferenceService:
                  else default_rule_set())
         acl_store = AclStore.open(config.journal_path)
         objects_path = config.objects_path or f"{config.journal_path}.objects"
-        object_store = ObjectStore.open(objects_path)
+        try:
+            object_store = ObjectStore.open(objects_path)
+        except BaseException:
+            acl_store.close()
+            raise
         return cls(rules, key, acl_store, object_store, **kwargs)
 
     def close(self) -> None:

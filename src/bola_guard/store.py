@@ -4,27 +4,31 @@ The journal is newline-delimited JSON, one record per line: either a value
 upsert or a tombstone ``{"op": "del", "id": ..., "path": ...}``. Opening a
 store replays the journal; a partial trailing record (torn write) is dropped
 with a warning and the file is repaired, while damage before the final record
-or an ill-typed record anywhere (``_decode`` raises ``ValueError``) raises
-:class:`CorruptJournalError`. Appends are flushed and fsynced before they are
-applied in memory, so an acknowledged write survives a crash.
+or an ill-typed record anywhere raises :class:`CorruptJournalError`. Appends
+are flushed and fsynced before they are applied in memory, so an
+acknowledged write survives a crash.
 
-Live entries sit in per-path buckets, ``{path: {id: value}}``, so reading one
-path never touches another. Every change of an entry, whether from replay,
-``put``, ``delete`` or ``compact``, goes through :meth:`JournalStore._reindex`,
-which is where a subclass keeps its secondary index in step. Invariants:
+Live entries sit in per-path buckets, ``{path: {id: value}}``. One reader,
+:meth:`JournalStore._read`, takes a key (a string path and a non-negative int
+id) and a value from a record; one writer, :meth:`JournalStore._set`, changes
+memory. Replay runs ``_set(*_read(record))``. ``put`` and ``delete`` run
+``_read`` on the line they append, before they lock, so they refuse
+(``ValueError``, file untouched) whatever replay refuses. So:
 
 * a bucket holds exactly the live entries of its path;
 * :class:`AclStore` lists ``id`` under ``(path, user)`` in its reader index
   exactly when the live entry of ``(path, id)`` names ``user`` as owner, in
   ``users_rw`` or in ``users_ro``; a key whose set becomes empty is removed;
-* both are what a fresh replay of the journal would build.
+* both are what a fresh replay of the journal would build, which is why
+  ``compact`` rewrites only the file and no reader misses an entry during it.
 
 Single writer, any number of readers: mutations take the store lock and
-install fully-built immutable entries. Readers take no lock. They copy a
-bucket or a reader set in one C-level call (``dict.copy``, ``sorted`` of a
-set of ints), which the GIL makes atomic with respect to writers, and then
-work on the copy. So a reader never observes a torn value and never iterates
-a container that a writer is changing.
+replace an entry with one store of a fully-built immutable value. Readers take
+no lock. They copy a bucket or a reader set in one C-level call
+(``dict.copy``, ``sorted`` of a set of ints), which the GIL makes atomic with
+respect to writers, and then work on the copy. So a reader never observes a
+torn value, never misses an entry, and never iterates a container that a
+writer is changing.
 """
 
 from __future__ import annotations
@@ -51,11 +55,11 @@ class JournalStore(Generic[T]):
     def __init__(self, location: str | Path):
         self.location = Path(location)
         self._lock = threading.Lock()
+        self._buckets: dict[str, dict[int, T]] = {}
         self._max_ids: dict[str, int] = {}
         self.journal_position = 0
         self._fh = None
         with self._lock:
-            self._reset()
             self._replay()
         self._fh = open(self.location, "a", encoding="utf-8")
 
@@ -71,14 +75,41 @@ class JournalStore(Generic[T]):
     def _decode(self, record: dict) -> T:
         raise NotImplementedError
 
-    def _reset(self) -> None:
-        """Start with no entries; a subclass also empties its index here."""
-        self._buckets: dict[str, dict[int, T]] = {}
-
     def _reindex(self, path: str, object_id: int, old: T | None,
                  new: T | None) -> None:
-        """Called under the lock after the entry of (path, id) went from
-        ``old`` to ``new``; ``None`` means absent."""
+        """Called by :meth:`_set` with the entry of (path, id) before and
+        after the record it applies; ``None`` means absent."""
+
+    # The one reader and the one writer of memory ---------------------------
+
+    def _read(self, record: dict) -> tuple[str, int, T | None]:
+        """The key a record names and its value, None for a tombstone;
+        ``ValueError`` or ``KeyError`` for what the journal format never holds."""
+        path, object_id = record["path"], record["id"]
+        if not isinstance(path, str) or type(object_id) is not int or object_id < 0:
+            raise ValueError("path must be a string and id a non-negative int")
+        if record.get("op") == "del":
+            return path, object_id, None
+        return path, object_id, self._decode(record)
+
+    def _set(self, path: str, object_id: int, value: T | None) -> None:
+        """Make ``value`` (None: absent) the entry of (path, id), as one more
+        journal record. Called under the lock, once the record is durable."""
+        bucket = self._buckets.get(path, {})
+        old = bucket.get(object_id)
+        if value is not None:
+            bucket[object_id] = value
+            self._buckets.setdefault(path, bucket)
+            self._max_ids[path] = max(object_id, self._max_ids.get(path, 0))
+        elif old is not None:
+            del bucket[object_id]
+        self._reindex(path, object_id, old, value)
+        self.journal_position += 1
+
+    def _line(self, record: dict) -> tuple[str, tuple[str, int, T | None]]:
+        """The journal line of ``record`` and what replay reads back from it."""
+        line = json.dumps(record)
+        return line, self._read(json.loads(line))
 
     # Replay ---------------------------------------------------------------
 
@@ -87,8 +118,7 @@ class JournalStore(Generic[T]):
             self.location.parent.mkdir(parents=True, exist_ok=True)
             self.location.touch()
             return
-        data = self.location.read_bytes()
-        lines = data.splitlines(keepends=True)
+        lines = self.location.read_bytes().splitlines(keepends=True)
         offset = 0
         for i, raw in enumerate(lines):
             last = i == len(lines) - 1
@@ -96,86 +126,56 @@ class JournalStore(Generic[T]):
             if not raw.strip():
                 offset += len(raw)
                 continue
-            record = None
             try:
-                parsed = json.loads(raw.decode("utf-8"))
-                if isinstance(parsed, dict):
-                    record = parsed
-            except (ValueError, UnicodeDecodeError):
+                record = json.loads(raw.decode("utf-8"))
+            except ValueError:      # UnicodeDecodeError is one too
                 record = None
-            if record is None or not terminated:
+            if not isinstance(record, dict) or not terminated:
                 # A record is committed only once newline-terminated; an
                 # unparseable or unterminated tail is a torn write.
                 if last:
                     logger.warning("discarding partial trailing record in %s",
                                    self.location)
-                    self._truncate(offset)
+                    with open(self.location, "r+b") as fh:
+                        fh.truncate(offset)
                     return
                 raise CorruptJournalError(
                     f"{self.location}: damaged record at line {i + 1}")
             try:
-                self._apply(record)
+                self._set(*self._read(record))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorruptJournalError(
                     f"{self.location}: malformed record at line {i + 1}: {exc}"
                 ) from exc
             offset += len(raw)
-            self.journal_position += 1
-
-    def _truncate(self, size: int) -> None:
-        with open(self.location, "r+b") as fh:
-            fh.truncate(size)
-
-    def _apply(self, record: dict) -> None:
-        if record.get("op") == "del":
-            self._remove(record["path"], int(record["id"]))
-            return
-        self._install(record, self._decode(record))
 
     # Mutation -------------------------------------------------------------
 
-    def _install(self, record: dict, value: T) -> None:
-        """Make ``value`` the live entry of the key its ``record`` names."""
-        path, object_id = record["path"], int(record["id"])
-        bucket = self._buckets.get(path)
-        if bucket is None:
-            bucket = self._buckets[path] = {}
-        old = bucket.get(object_id)
-        bucket[object_id] = value
-        if object_id > self._max_ids.get(path, 0):
-            self._max_ids[path] = object_id
-        self._reindex(path, object_id, old, value)
-
-    def _remove(self, path: str, object_id: int) -> None:
-        old = self._buckets.get(path, {}).pop(object_id, None)
-        if old is not None:
-            self._reindex(path, object_id, old, None)
-
-    def _append(self, record: dict) -> None:
+    def _append(self, line: str) -> None:
         try:
-            self._fh.write(json.dumps(record) + "\n")
+            self._fh.write(line + "\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
         except OSError as exc:
             raise StorageError(f"append to {self.location} failed: {exc}") from exc
 
     def put(self, value: T) -> T:
-        """Upsert; durable before return."""
-        record = self._encode(value)
+        """Upsert; durable before return. ``ValueError``, and nothing
+        written, for a value whose record replay would refuse."""
+        line, entry = self._line(self._encode(value))
         with self._lock:
-            self._append(record)
-            self._install(record, value)
-            self.journal_position += 1
+            self._append(line)
+            self._set(*entry)
         return value
 
     def delete(self, path: str, object_id: int) -> None:
         """Append a tombstone; raises if the key is absent."""
+        line, entry = self._line({"op": "del", "id": object_id, "path": path})
         with self._lock:
             if self.get(path, object_id) is None:
                 raise NoSuchObjectError(f"no entry for id={object_id} path={path!r}")
-            self._append({"op": "del", "id": object_id, "path": path})
-            self._remove(path, object_id)
-            self.journal_position += 1
+            self._append(line)
+            self._set(*entry)
 
     # Reads ----------------------------------------------------------------
 
@@ -205,25 +205,22 @@ class JournalStore(Generic[T]):
     def compact(self) -> int:
         """Rewrite the journal with live entries only; returns records written.
 
-        The buckets and index are then rebuilt from the records written, as a
-        reopen would build them. Drops history, so ids of deleted objects may
-        be handed out again by :meth:`next_id` after a reopen. Run offline:
-        a reader during the rebuild may miss entries.
+        Only the file changes: memory already holds what replaying the new
+        file builds, so readers see every entry throughout. Drops history, so
+        ids of deleted objects may be handed out again by :meth:`next_id`
+        after a reopen.
         """
         with self._lock:
-            live = [(self._encode(value), value) for value in self.entries()]
+            live = self.entries()
             tmp = self.location.with_suffix(self.location.suffix + ".compact")
             with open(tmp, "w", encoding="utf-8") as fh:
-                for record, _ in live:
-                    fh.write(json.dumps(record) + "\n")
+                for value in live:
+                    fh.write(json.dumps(self._encode(value)) + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
             self._fh.close()
             os.replace(tmp, self.location)
             self._fh = open(self.location, "a", encoding="utf-8")
-            self._reset()
-            for record, value in live:
-                self._install(record, value)
             self.journal_position = len(live)
             return len(live)
 
@@ -247,15 +244,15 @@ class AclStore(JournalStore[AccessControlEntry]):
     may read on a path are found without scanning the path.
     """
 
+    def __init__(self, location: str | Path):
+        self._readers: dict[tuple[str, str], set[int]] = {}
+        super().__init__(location)
+
     def _encode(self, value: AccessControlEntry) -> dict:
         return value.to_record()
 
     def _decode(self, record: dict) -> AccessControlEntry:
         return AccessControlEntry.from_record(record)
-
-    def _reset(self) -> None:
-        super()._reset()
-        self._readers: dict[tuple[str, str], set[int]] = {}
 
     def _reindex(self, path: str, object_id: int, old: AccessControlEntry | None,
                  new: AccessControlEntry | None) -> None:
@@ -290,7 +287,6 @@ class ObjectStore(JournalStore[dict]):
         return {"id": value["id"], "path": value["path"], "body": value["body"]}
 
     def _decode(self, record: dict) -> dict:
-        path, body = record["path"], record["body"]
-        if not isinstance(path, str) or not isinstance(body, dict):
-            raise ValueError("path must be a string and body an object")
-        return {"id": int(record["id"]), "path": path, "body": body}
+        if not isinstance(record["body"], dict):
+            raise ValueError("body must be an object")
+        return self._encode(record)     # no stray keys, shared key strings

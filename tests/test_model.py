@@ -422,6 +422,14 @@ def _comparable(node):
     return node
 
 
+# Texts on which libyaml and the pure loader part: (text, libyaml's tree,
+# the pure loader's tree or the error it raises).
+_PARTING = [
+    ("key: value\t\n", {"key": "value"}, yaml.YAMLError),
+    ("!\n", "", None),
+]
+
+
 def _both_loaders(text):
     return (_comparable(yaml.load(text, Loader=yaml.CSafeLoader)),
             _comparable(yaml.load(text, Loader=yaml.SafeLoader)))
@@ -542,10 +550,7 @@ class TestYamlLoaders:
         monkeypatch.delattr(yaml, "CSafeLoader")
         assert parse_document(fixture_text(name)) == with_libyaml
 
-    @pytest.mark.parametrize("text, libyaml, pure", [
-        ("key: value\t\n", {"key": "value"}, yaml.YAMLError),
-        ("!\n", "", None),
-    ])
+    @pytest.mark.parametrize("text, libyaml, pure", _PARTING)
     def test_known_edge_cases_where_the_loaders_part(self, text, libyaml, pure):
         assert yaml.load(text, Loader=yaml.CSafeLoader) == libyaml
         if pure is yaml.YAMLError:
@@ -553,3 +558,16 @@ class TestYamlLoaders:
                 yaml.load(text, Loader=yaml.SafeLoader)
         else:
             assert yaml.load(text, Loader=yaml.SafeLoader) == pure
+
+    @pytest.mark.parametrize("text", [text for text, _, _ in _PARTING])
+    def test_where_the_loaders_part_the_verdict_is_the_same_on_every_build(
+            self, monkeypatch, text):
+        def verdict():
+            try:
+                return _load_yaml(text)
+            except yaml.YAMLError as exc:
+                return type(exc)
+
+        with_libyaml = verdict()
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        assert verdict() == with_libyaml

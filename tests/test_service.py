@@ -539,6 +539,27 @@ class TestRestart:
         with pytest.raises(CorruptJournalError, match="line 2"):
             build_service(tmp_path)
 
+    def test_a_corrupt_object_journal_leaves_the_acl_journal_closed(
+            self, tmp_path, monkeypatch):
+        closed = []
+
+        class RecordingAclStore(AclStore):
+            def close(self):
+                closed.append(self.location)
+                super().close()
+
+        monkeypatch.setattr("bola_guard.service.AclStore", RecordingAclStore)
+        (tmp_path / "service.key").write_bytes(KEY)
+        (tmp_path / "acl.ndjson.objects").write_text(
+            json.dumps({"id": 1, "path": "/pet", "body": [1, 2]}) + "\n",
+            encoding="utf-8")
+        config = ServiceConfig(key_path=str(tmp_path / "service.key"),
+                               journal_path=str(tmp_path / "acl.ndjson"))
+        with pytest.raises(CorruptJournalError, match="line 1"):
+            ReferenceService.from_config(config)
+        # from_config opened the ACL journal first; it closed it on the way out.
+        assert closed == [tmp_path / "acl.ndjson"]
+
 
 class TestHttpAdapter:
     def test_real_http_round_trip(self, tmp_path):

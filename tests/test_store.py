@@ -1,16 +1,22 @@
 import json
 import logging
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bola_guard import (
     AccessControlEntry,
     AclStore,
+    AuthzEngine,
     CorruptJournalError,
     NoSuchObjectError,
+    NotOwnerError,
     ObjectStore,
+    default_rule_set,
 )
 
 
@@ -18,6 +24,18 @@ def ace(object_id, path="/pets", owner="123", ro=(), rw=None):
     return AccessControlEntry(id=object_id, path=path, owner=owner,
                               users_ro=tuple(ro),
                               users_rw=tuple(rw) if rw else (owner,))
+
+
+# Keys that neither journal ever writes: ids that are not non-negative ints
+# (``int()`` would read them as -3, 2, 1 and 7), and a tombstone whose path
+# is not a string.
+ILL_TYPED_KEYS = [
+    {"id": -3},
+    {"id": 2.9},
+    {"id": True},
+    {"id": "7"},
+    {"op": "del", "id": 1, "path": 5},
+]
 
 
 class TestBasics:
@@ -154,6 +172,7 @@ class TestReplay:
         {"users_rw": ["123", None]},
         {"users_ro": "456"},
         {"users_rw": {"123": True}},
+        *ILL_TYPED_KEYS,
     ])
     def test_an_ill_typed_record_is_corrupt(self, tmp_path, fields):
         location = tmp_path / "acl.ndjson"
@@ -280,6 +299,7 @@ class TestObjectStore:
         {"body": "lucky"},
         {"body": None},
         {"body": 5},
+        *ILL_TYPED_KEYS,
     ])
     def test_an_ill_typed_record_is_corrupt(self, tmp_path, fields):
         location = tmp_path / "objects.ndjson"
@@ -290,6 +310,125 @@ class TestObjectStore:
             fh.write(json.dumps(record) + "\n")
         with pytest.raises(CorruptJournalError, match="line 2"):
             ObjectStore.open(location)
+
+
+STEP_PATHS = ("/pets", "/users")
+STEP_USERS = ("1", "2", "3")
+STORE_STEPS = st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(STEP_PATHS), st.integers(0, 4),
+              st.sampled_from(STEP_USERS),
+              st.sampled_from([{"n": 1}, {"tags": ("a", "b")}, {7: "seven"}])),
+    st.tuples(st.just("delete"), st.sampled_from(STEP_PATHS), st.integers(0, 4)),
+    st.tuples(st.just("grant"), st.sampled_from(STEP_PATHS), st.integers(0, 4),
+              st.sampled_from(STEP_USERS), st.sampled_from(STEP_USERS),
+              st.sampled_from(("ro", "rw"))),
+    st.tuples(st.just("refused"), st.sampled_from([
+        ("objects", {"id": 1, "path": "/pets", "body": [1, 2]}),
+        ("objects", {"id": 1, "path": 5, "body": {}}),
+        ("acl", AccessControlEntry(id=2.5, path="/pets", owner="1")),
+        ("acl", AccessControlEntry(id=True, path="/pets", owner="1")),
+    ])),
+    st.tuples(st.just("compact")),
+)
+
+
+def _apply_step(step, acl, objects, engine):
+    kind = step[0]
+    if kind == "put":
+        _, path, object_id, owner, body = step
+        acl.put(ace(object_id, path=path, owner=owner))
+        objects.put({"id": object_id, "path": path, "body": body})
+    elif kind == "delete":
+        _, path, object_id = step
+        for store in (acl, objects):
+            if store.get(path, object_id) is None:
+                with pytest.raises(NoSuchObjectError):
+                    store.delete(path, object_id)
+            else:
+                store.delete(path, object_id)
+    elif kind == "grant":
+        _, path, object_id, actor, grantee, level = step
+        try:
+            engine.grant(actor, object_id, path, grantee, level)
+        except (NoSuchObjectError, NotOwnerError):
+            pass
+    elif kind == "refused":
+        store = {"acl": acl, "objects": objects}[step[1][0]]
+        with pytest.raises(ValueError):
+            store.put(step[1][1])
+    else:
+        acl.compact()
+        objects.compact()
+
+
+def _state(acl, objects):
+    return (acl.entries(), objects.entries(),
+            {(path, user): acl.readable_ids(path, user)
+             for path in STEP_PATHS for user in STEP_USERS},
+            acl.journal_position, objects.journal_position)
+
+
+class TestMemoryIsTheReplay:
+    """What a write leaves in memory is what a fresh open of the journal
+    builds, and a write that replay would refuse is not made."""
+
+    @pytest.mark.parametrize("store_class, first, refused", [
+        (ObjectStore, {"id": 1, "path": "/pet", "body": {}},
+         {"id": 2, "path": "/pet", "body": [1, 2]}),
+        (AclStore, ace(1), AccessControlEntry(id=2.5, path="/pets", owner="1")),
+        (AclStore, ace(1), AccessControlEntry(id=True, path="/pets", owner="1")),
+    ])
+    def test_a_put_that_replay_would_refuse_writes_nothing(
+            self, tmp_path, store_class, first, refused):
+        location = tmp_path / "journal.ndjson"
+        with store_class.open(location) as store:
+            store.put(first)
+            before = location.read_bytes()
+            with pytest.raises(ValueError):
+                store.put(refused)
+            assert location.read_bytes() == before
+            assert store.entries() == [first]
+            assert store.journal_position == 1
+        with store_class.open(location) as store:
+            assert store.entries() == [first]
+
+    def test_a_delete_whose_tombstone_replay_would_refuse_writes_nothing(
+            self, tmp_path):
+        # True hashes as 1, so the lookup alone would find entry 1.
+        location = tmp_path / "acl.ndjson"
+        with AclStore.open(location) as store:
+            store.put(ace(1))
+            before = location.read_bytes()
+            with pytest.raises(ValueError):
+                store.delete("/pets", True)
+            assert location.read_bytes() == before
+            assert store.get("/pets", 1) == ace(1)
+
+    def test_memory_holds_the_json_that_was_written(self, tmp_path):
+        location = tmp_path / "objects.ndjson"
+        with ObjectStore.open(location) as store:
+            store.put({"id": 1, "path": "/pet",
+                       "body": {"tags": ("a", "b"), 7: "seven"}})
+            held = store.get("/pet", 1)
+        assert held["body"] == {"tags": ["a", "b"], "7": "seven"}
+        with ObjectStore.open(location) as store:
+            assert store.get("/pet", 1) == held
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(STORE_STEPS, max_size=12))
+    def test_after_every_step_a_fresh_open_builds_what_memory_holds(self, steps):
+        with tempfile.TemporaryDirectory() as directory:
+            acl_path = Path(directory) / "acl.ndjson"
+            objects_path = Path(directory) / "objects.ndjson"
+            with AclStore.open(acl_path) as acl, \
+                    ObjectStore.open(objects_path) as objects:
+                engine = AuthzEngine(default_rule_set(), acl)
+                for step in steps:
+                    _apply_step(step, acl, objects, engine)
+                    with AclStore.open(acl_path) as fresh_acl, \
+                            ObjectStore.open(objects_path) as fresh_objects:
+                        assert _state(fresh_acl, fresh_objects) == \
+                            _state(acl, objects), step
 
 
 class TestConcurrency:
