@@ -44,10 +44,9 @@ from .tokens import AuthToken, issue_token, verify_token
 from .rules import (
     GroupRule,
     GroupRuleSet,
-    Permission,
     default_rule_set,
-    effective_permission,
     load_rules,
+    matching_rule,
 )
 from .acl import AccessControlEntry, apply_grant
 from .engine import AuthzDecision, AuthzEngine, DecisionReason
@@ -89,7 +88,6 @@ __all__ = [
     "ObjectSchema",
     "ObjectStore",
     "PathItem",
-    "Permission",
     "Placement",
     "PrivilegeProviderMarker",
     "ReferenceService",
@@ -109,11 +107,11 @@ __all__ = [
     "apply_grant",
     "classify_design",
     "default_rule_set",
-    "effective_permission",
     "emit_document",
     "has_errors",
     "issue_token",
     "load_rules",
+    "matching_rule",
     "parse_document",
     "resolve_ref",
     "roundtrip_check",

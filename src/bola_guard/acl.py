@@ -56,7 +56,10 @@ class AccessControlEntry:
     @classmethod
     def from_record(cls, record: dict) -> AccessControlEntry:
         """The entry a journal record holds; a :class:`ValueError` when its
-        path, owner or a user is not a string, or a user list not a list."""
+        id is not an int, its path, owner or a user not a string, or a user
+        list not a list."""
+        if type(record["id"]) is not int:
+            raise ValueError("id must be an integer")
         users_ro, users_rw = record.get("users_ro", []), record.get("users_rw", [])
         if not (isinstance(users_ro, list) and isinstance(users_rw, list)):
             raise ValueError("users_ro and users_rw must be lists")
@@ -64,7 +67,7 @@ class AccessControlEntry:
                    in (record["path"], record["owner"], *users_ro, *users_rw)):
             raise ValueError("path, owner and every user must be strings")
         return cls(
-            id=int(record["id"]),
+            id=record["id"],
             path=record["path"],
             owner=record["owner"],
             users_ro=tuple(users_ro),

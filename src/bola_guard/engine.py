@@ -1,21 +1,23 @@
 """Runtime authorization decisions, one per request: group rules first, then
-object ownership. The decision pipeline for an object access:
+object ownership. A decision is a reason, the allow or deny that reason
+implies, and the rule that matched. The pipeline for (path, action):
 
-1. Compute the effective permission of the requester's groups for
-   (path, action). No matching rule means deny; nothing is implicit.
-2. ``allow_any`` (some matching rule waives ownership) grants immediately;
-   the ACL is not consulted.
-3. ``allow_own_only`` requires proof via the ACL entry of (path, object id):
-   the owner always qualifies; otherwise reads need membership in the RO or
-   RW list and writes need the RW list. A missing entry denies, since
-   ownership cannot be proven.
+1. Find the matching rule of the requester's groups for (path, action)
+   (:func:`~bola_guard.rules.matching_rule`). No rule means deny
+   (``no_group_rule``); nothing is implicit.
+2. A rule that waives ownership grants at once (``group_grant``); the ACL is
+   not consulted. So does any rule for a creation, which has no owner yet:
+   the handler records the creator as owner afterwards, via
+   :meth:`AuthzEngine.record_creation`, once it has assigned an id.
+3. A rule that requires ownership needs proof from the ACL entry of
+   (path, object id): the owner always qualifies; otherwise reads need
+   membership in the RO or RW list and writes need the RW list. A missing
+   entry denies, since ownership cannot be proven.
 
-A listing is a read of the whole path (``object_id`` None) and stops after
-step 2: ``allow_own_only`` grants ``ownership_grant``, and the caller sees
-only the objects the ACL store's reader index lists for them.
+A listing is a read of the whole path (``object_id`` None) and stops before
+step 3: an own-only rule grants ``ownership_grant``, and the caller sees only
+the objects the ACL store's reader index lists for them.
 
-Creations are group-gated only; the ACL entry is recorded afterwards via
-:meth:`AuthzEngine.record_creation` once the handler has assigned an id.
 ACL inspection needs :data:`ADMIN_GROUP`, whatever the rule table says.
 """
 
@@ -27,7 +29,7 @@ from enum import Enum
 from .acl import AccessControlEntry, apply_grant
 from .actions import Action
 from .errors import DuplicateObjectError, NoSuchObjectError
-from .rules import GroupRule, GroupRuleSet, Permission, effective_permission
+from .rules import GroupRule, GroupRuleSet, matching_rule
 from .store import AclStore
 from .tokens import AuthToken
 
@@ -58,8 +60,9 @@ class AuthzDecision:
     matched_rule: GroupRule | None = None
 
     def __post_init__(self):
-        if self.allowed and self.reason not in _ALLOW_REASONS:
-            raise ValueError(f"reason {self.reason} cannot accompany an allow")
+        if self.allowed != (self.reason in _ALLOW_REASONS):
+            raise ValueError(f"reason {self.reason.value} cannot accompany "
+                             f"{'an allow' if self.allowed else 'a deny'}")
 
 
 class AuthzEngine:
@@ -68,14 +71,6 @@ class AuthzEngine:
     def __init__(self, rules: GroupRuleSet, store: AclStore):
         self.rules = rules
         self.store = store
-
-    def authorize_create(self, token: AuthToken, path: str) -> AuthzDecision:
-        """Group check for POST; the ACL entry is recorded separately."""
-        permission, rule = effective_permission(self.rules, token.groups, path,
-                                                Action.CREATE)
-        if permission is Permission.DENY:
-            return AuthzDecision(False, DecisionReason.NO_GROUP_RULE)
-        return AuthzDecision(True, DecisionReason.GROUP_GRANT, rule)
 
     def record_creation(self, token: AuthToken, path: str,
                         object_id: int) -> AccessControlEntry:
@@ -88,17 +83,16 @@ class AuthzEngine:
 
     def authorize_access(self, token: AuthToken, path: str, action: Action,
                          object_id: int | None) -> AuthzDecision:
-        """Decide read/update/delete on one object, or with ``object_id``
-        None a read of every object of ``path``."""
-        if action is Action.CREATE:
-            raise ValueError("use authorize_create for creations")
-        if object_id is None and action is not Action.READ:
+        """Decide an action on one object, or with ``object_id`` None a
+        creation or a read of every object of ``path``."""
+        if object_id is None and action in (Action.UPDATE, Action.DELETE):
             raise ValueError(f"{action.value} needs an object id")
-        permission, rule = effective_permission(self.rules, token.groups, path,
-                                                action)
-        if permission is Permission.DENY:
+        if object_id is not None and action is Action.CREATE:
+            raise ValueError("a creation has no object id yet")
+        rule = matching_rule(self.rules, token.groups, path, action)
+        if rule is None:
             return AuthzDecision(False, DecisionReason.NO_GROUP_RULE)
-        if permission is Permission.ALLOW_ANY:
+        if not rule.ownership_required or action is Action.CREATE:
             return AuthzDecision(True, DecisionReason.GROUP_GRANT, rule)
         if object_id is None:
             # Each listed object is proven by the reader index instead.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 import urllib.parse
 from dataclasses import dataclass, field
 from enum import Enum
@@ -266,7 +267,14 @@ def _parent_pointer(pointer: str) -> str:
     return "#/" + "/".join(parts)
 
 
-_ESS_SEGMENTS = {_KEY_OBJECTS, _KEY_OBJECT_AUTH, _KEY_GROUPS, _KEY_USER_ID, _SCHEME_NAME}
+# Extension keys a ref segment may name in any casing -> canonical casing.
+_SEGMENT_CANON = {
+    _KEY_OBJECT_AUTH: CANON_OBJECT_AUTH_ROOT,   # ref targets are always schema-rooted
+    _KEY_OBJECTS: CANON_OBJECTS,
+    _KEY_GROUPS: CANON_GROUPS,
+    _KEY_USER_ID: CANON_USER_ID,
+    _SCHEME_NAME: CANON_SCHEME_NAME,
+}
 
 
 def _walk(root: Any, pointer: str, original: str) -> Any:
@@ -285,7 +293,7 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
                 node = node[int(segment)]
                 continue
             # Extension keys match case-insensitively, same as the parser.
-            if segment.lower() in _ESS_SEGMENTS:
+            if segment.lower() in _SEGMENT_CANON:
                 actual = _find_key(node, segment.lower())
                 if actual is not None:
                     node = node[actual]
@@ -304,13 +312,20 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
 # Parsing
 
 
+# A block scalar header with a comment right after it, as in ``a: |#c``.
+_HEADER_COMMENT = re.compile(r"[|>][-+0-9]*#")
+
+
 def _load_yaml(text: str) -> Any:
     """Decode YAML text; malformed text raises :class:`yaml.YAMLError`.
-    libyaml decodes it when PyYAML was built with it, except text with a tab
-    or a ``!``: there libyaml parts from the pure-Python loader (it accepts a
-    tab after a plain scalar and reads a bare ``!`` tag as ``''``, not None),
-    so the pure loader decides, and the verdict does not hang on the build."""
-    loader = yaml.SafeLoader if "\t" in text or "!" in text \
+    libyaml decodes it when PyYAML was built with it, except where libyaml
+    parts from the pure-Python loader: it accepts a tab after a plain scalar
+    and a ``#`` right after a block scalar header, reads a bare ``!`` tag as
+    ``''``, not None, and refuses a U+FEFF past the start. There the
+    pure loader decides, and the verdict does not hang on the build."""
+    pure = ("\t" in text or "!" in text or "\ufeff" in text
+            or (("|" in text or ">" in text) and _HEADER_COMMENT.search(text)))
+    loader = yaml.SafeLoader if pure \
         else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         return yaml.load(text, Loader=loader)
@@ -652,15 +667,6 @@ def _rename_key(node: dict, old: str, new: str) -> None:
     items = [(new, v) if k == old else (k, v) for k, v in node.items()]
     node.clear()
     node.update(items)
-
-
-_SEGMENT_CANON = {
-    _KEY_OBJECT_AUTH: CANON_OBJECT_AUTH_ROOT,   # ref targets are always schema-rooted
-    _KEY_OBJECTS: CANON_OBJECTS,
-    _KEY_GROUPS: CANON_GROUPS,
-    _KEY_USER_ID: CANON_USER_ID,
-    _SCHEME_NAME: CANON_SCHEME_NAME,
-}
 
 
 def _canonicalize_refs(node: Any) -> None:

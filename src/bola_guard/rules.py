@@ -1,4 +1,4 @@
-"""Path-based group rules and the permission they yield for a request.
+"""Path-based group rules and the one rule that decides a request.
 
 Each rule grants a group a set of CRUD actions on one path template, with an
 ownership flag: when ownership is required, group membership alone only grants
@@ -14,7 +14,6 @@ string path and group, a list of action names, and an optional boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Collection, Iterable
 
@@ -23,12 +22,6 @@ import yaml
 from .actions import Action, parse_action
 from .errors import RuleSetError
 from .model import _load_yaml
-
-
-class Permission(Enum):
-    DENY = "deny"
-    ALLOW_OWN_ONLY = "allow_own_only"
-    ALLOW_ANY = "allow_any"
 
 
 @dataclass(frozen=True)
@@ -79,17 +72,15 @@ class GroupRuleSet:
         return iter(self.rules)
 
 
-def effective_permission(rules: GroupRuleSet, groups: Collection[str], path: str,
-                         action: Action) -> tuple[Permission, GroupRule | None]:
-    """Widest permission any of the groups grants for (path, action), and the
-    rule backing it: in rule-set order, the first rule of a held group that
-    waives ownership, else the first one that requires it, else none (deny)."""
+def matching_rule(rules: GroupRuleSet, groups: Collection[str], path: str,
+                  action: Action) -> GroupRule | None:
+    """The widest rule any of the groups holds for (path, action): in
+    rule-set order, the first rule of a held group that waives ownership,
+    else the first one that requires it, else None (deny)."""
     for rule in rules._granting.get((path, action), ()):
         if rule.group in groups:
-            if rule.ownership_required:
-                return Permission.ALLOW_OWN_ONLY, rule
-            return Permission.ALLOW_ANY, rule
-    return Permission.DENY, None
+            return rule
+    return None
 
 
 _RULE_FIELDS = {"path": str, "group": str, "actions": list, "ownership": bool}
@@ -129,16 +120,6 @@ def load_rules(path: str | Path) -> GroupRuleSet:
         except ValueError as exc:
             raise RuleSetError(f"rule #{i}: {exc}") from exc
     return GroupRuleSet(rules)
-
-
-def dump_rules(rules: GroupRuleSet) -> str:
-    data = [{
-        "path": rule.path,
-        "group": rule.group,
-        "actions": sorted(a.value for a in rule.actions),
-        "ownership": rule.ownership_required,
-    } for rule in rules]
-    return yaml.safe_dump(data, sort_keys=False)
 
 
 def default_rule_set() -> GroupRuleSet:

@@ -210,8 +210,6 @@ class ReferenceService:
         # grows), and grant and compact run offline.
         if template == ADMIN_PATH:
             decision = self.engine.authorize_admin(token)
-        elif action is Action.CREATE:
-            decision = self.engine.authorize_create(token, template)
         else:
             decision = self.engine.authorize_access(token, template, action,
                                                     object_id)

@@ -92,7 +92,8 @@ def test_criterion_2_ace_byte_compatibility(tmp_path):
         with AclStore.open(tmp_path / "acl.ndjson") as store:
             engine = AuthzEngine(rules, store)
             token = claims("123", {"G21"})
-            assert engine.authorize_create(token, "/pets").allowed
+            assert engine.authorize_access(token, "/pets", Action.CREATE,
+                                           None).allowed
             ace = engine.record_creation(token, "/pets", 152)
 
             expected_record = {"id": 152, "path": "/pets", "owner": "123",
@@ -124,7 +125,8 @@ def test_criterion_3_decision_matrix_oracle(tmp_path):
 
         for groups, path, user in itertools.product(subsets, paths, users):
             token = claims(user, groups)
-            assert engine.authorize_create(token, path).allowed == \
+            assert engine.authorize_access(token, path, Action.CREATE,
+                                           None).allowed == \
                 oracle_create(rows, groups, path)
             agreements += 1
 
@@ -297,7 +299,8 @@ def test_criterion_7_deny_by_default_fuzz(tmp_path):
                 {f"G{rng.randrange(40)}" for _ in range(rng.randrange(4))})
             path = rng.choice(paths)
             if i % 4 == 0:
-                decision = engine.authorize_create(token, path)
+                decision = engine.authorize_access(token, path, Action.CREATE,
+                                                   None)
             else:
                 decision = engine.authorize_access(
                     token, path, rng.choice(actions), rng.randrange(10))

@@ -37,19 +37,35 @@ def engine(tmp_path):
 
 
 class TestAuthorizeCreate:
+    """A creation: ``authorize_access`` with ``Action.CREATE`` and no id."""
+
     def test_group_with_create_action_is_allowed(self, engine):
-        decision = engine.authorize_create(claims("123", {"G11"}), "/user")
+        decision = engine.authorize_access(claims("123", {"G11"}), "/user",
+                                           Action.CREATE, None)
         assert decision.allowed
         assert decision.reason is DecisionReason.GROUP_GRANT
         assert decision.matched_rule.group == "G11"
 
     def test_read_only_group_cannot_create(self, engine):
-        decision = engine.authorize_create(claims("123", {"G22"}), "/pet")
+        decision = engine.authorize_access(claims("123", {"G22"}), "/pet",
+                                           Action.CREATE, None)
         assert not decision.allowed
         assert decision.reason is DecisionReason.NO_GROUP_RULE
 
     def test_empty_groups_are_denied(self, engine):
-        assert not engine.authorize_create(claims("123", set()), "/pet").allowed
+        assert not engine.authorize_access(claims("123", set()), "/pet",
+                                           Action.CREATE, None).allowed
+
+    def test_an_own_only_create_rule_grants_without_an_acl_lookup(
+            self, engine, monkeypatch):
+        def fail(path, object_id):
+            raise AssertionError("ACL lookup")
+
+        monkeypatch.setattr(engine.store, "get", fail)
+        decision = engine.authorize_access(claims("123", {"G21"}), "/pet",
+                                           Action.CREATE, None)
+        assert decision.reason is DecisionReason.GROUP_GRANT
+        assert decision.matched_rule.ownership_required
 
 
 class TestRecordCreation:
@@ -122,7 +138,7 @@ class TestAuthorizeAccess:
         assert update.allowed and update.reason is DecisionReason.ACL_GRANT
 
     def test_create_action_is_refused_here(self, engine):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a creation has no object id"):
             engine.authorize_access(claims("1", {"G21"}), "/pet",
                                     Action.CREATE, 1)
 
@@ -241,16 +257,34 @@ class TestEntryInvariants:
         with pytest.raises(ValueError, match=message):
             AccessControlEntry(path="/pet", owner="123", **fields)
 
+    @pytest.mark.parametrize("object_id", ["7", True, 2.9])
+    def test_a_record_id_must_be_an_int(self, object_id):
+        record = {"id": object_id, "path": "/pet", "owner": "123"}
+        with pytest.raises(ValueError, match="id must be an integer"):
+            AccessControlEntry.from_record(record)
+
+
     def test_an_allow_needs_an_allow_reason(self):
         with pytest.raises(ValueError, match="cannot accompany an allow"):
             AuthzDecision(True, DecisionReason.NOT_OWNER)
+
+
+class TestDecision:
+    def test_allowed_agrees_exactly_with_the_grant_reasons(self):
+        grants = {"group_grant", "ownership_grant", "acl_grant"}
+        for reason in DecisionReason:
+            granted = reason.value in grants
+            assert AuthzDecision(granted, reason).allowed is granted
+            with pytest.raises(ValueError, match="cannot accompany"):
+                AuthzDecision(not granted, reason)
 
 
 class TestCreationLinkage:
     def test_owner_can_update_what_they_created(self, engine):
         for group, path in (("G11", "/user"), ("G21", "/pet")):
             token = claims("123", {group})
-            assert engine.authorize_create(token, path).allowed
+            assert engine.authorize_access(token, path, Action.CREATE,
+                                           None).allowed
             ace = engine.record_creation(token, path, 5)
             decision = engine.authorize_access(token, path, Action.UPDATE, ace.id)
             assert decision.allowed
@@ -272,7 +306,8 @@ class TestOracleEquivalence:
                                                     self.USERS):
             token = claims(user, groups)
             expected = oracle_create(rows, groups, path)
-            assert engine.authorize_create(token, path).allowed == expected
+            assert engine.authorize_access(token, path, Action.CREATE,
+                                           None).allowed == expected
             checked += 1
 
             for action, owner_is_requester, membership, present in \
@@ -311,7 +346,8 @@ class TestDenyByDefault:
             path = rng.choice(["/pet", "/user", "/order"])
             token = claims(user, groups)
             if rng.random() < 0.25:
-                assert not engine.authorize_create(token, path).allowed
+                assert not engine.authorize_access(token, path, Action.CREATE,
+                                                   None).allowed
             else:
                 action = rng.choice([Action.READ, Action.UPDATE, Action.DELETE])
                 decision = engine.authorize_access(token, path, action,

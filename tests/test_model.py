@@ -422,11 +422,15 @@ def _comparable(node):
     return node
 
 
-# Texts on which libyaml and the pure loader part: (text, libyaml's tree,
-# the pure loader's tree or the error it raises).
+# Texts on which libyaml and the pure loader part: (text, and for each of
+# libyaml and the pure loader the tree it loads or the error it raises).
 _PARTING = [
     ("key: value\t\n", {"key": "value"}, yaml.YAMLError),
     ("!\n", "", None),
+    ("a: |#c\n  x\n", {"a": "x\n"}, yaml.YAMLError),
+    ("a: |-#c\n  x\n", {"a": "x"}, yaml.YAMLError),
+    ("a: >2#c\n  x\n", {"a": "x\n"}, yaml.YAMLError),
+    ("a: b\n\ufeffc: d\n", yaml.YAMLError, {"a": "b", "\ufeffc": "d"}),
 ]
 
 
@@ -552,12 +556,13 @@ class TestYamlLoaders:
 
     @pytest.mark.parametrize("text, libyaml, pure", _PARTING)
     def test_known_edge_cases_where_the_loaders_part(self, text, libyaml, pure):
-        assert yaml.load(text, Loader=yaml.CSafeLoader) == libyaml
-        if pure is yaml.YAMLError:
-            with pytest.raises(yaml.YAMLError):
-                yaml.load(text, Loader=yaml.SafeLoader)
-        else:
-            assert yaml.load(text, Loader=yaml.SafeLoader) == pure
+        for loader, expected in ((yaml.CSafeLoader, libyaml),
+                                 (yaml.SafeLoader, pure)):
+            if expected is yaml.YAMLError:
+                with pytest.raises(yaml.YAMLError):
+                    yaml.load(text, Loader=loader)
+            else:
+                assert yaml.load(text, Loader=loader) == expected
 
     @pytest.mark.parametrize("text", [text for text, _, _ in _PARTING])
     def test_where_the_loaders_part_the_verdict_is_the_same_on_every_build(

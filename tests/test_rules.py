@@ -1,52 +1,50 @@
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
 from bola_guard import (
     Action,
     GroupRule,
     GroupRuleSet,
-    Permission,
     RuleSetError,
     default_rule_set,
-    effective_permission,
     load_rules,
+    matching_rule,
 )
-from bola_guard.rules import dump_rules
 
 from oracle import oracle_access
 
 CRUD = frozenset(Action)
 
 
-class TestEffectivePermission:
+class TestMatchingRule:
     def test_own_only_when_every_match_requires_ownership(self):
         rules = default_rule_set()
-        assert effective_permission(rules, {"G21"}, "/pet", Action.READ)[0] \
-            is Permission.ALLOW_OWN_ONLY
+        assert matching_rule(rules, {"G21"}, "/pet",
+                             Action.READ).ownership_required
 
     def test_ownership_waiver_overrides_own_only(self):
         rules = default_rule_set()
-        assert effective_permission(rules, {"G21", "G22"}, "/pet",
-                                    Action.READ)[0] is Permission.ALLOW_ANY
+        assert not matching_rule(rules, {"G21", "G22"}, "/pet",
+                                 Action.READ).ownership_required
 
     def test_no_matching_rule_denies(self):
         rules = default_rule_set()
-        assert effective_permission(rules, {"G23"}, "/pet", Action.UPDATE) \
-            == (Permission.DENY, None)
+        assert matching_rule(rules, {"G23"}, "/pet", Action.UPDATE) is None
 
     def test_empty_groups_deny(self):
-        assert effective_permission(default_rule_set(), set(), "/pet",
-                                    Action.READ) == (Permission.DENY, None)
+        assert matching_rule(default_rule_set(), set(), "/pet",
+                             Action.READ) is None
 
     def test_override_is_per_action(self):
         # The read waiver of G22 must not widen update.
         rules = default_rule_set()
-        assert effective_permission(rules, {"G21", "G22"}, "/pet",
-                                    Action.UPDATE)[0] is Permission.ALLOW_OWN_ONLY
+        assert matching_rule(rules, {"G21", "G22"}, "/pet",
+                             Action.UPDATE).ownership_required
 
     def test_resolved_rule_prefers_the_waiving_rule(self):
         rules = default_rule_set()
-        _, rule = effective_permission(rules, {"G21", "G22"}, "/pet", Action.READ)
+        rule = matching_rule(rules, {"G21", "G22"}, "/pet", Action.READ)
         assert rule.group == "G22"
         assert not rule.ownership_required
 
@@ -81,7 +79,11 @@ class TestRuleSet:
 class TestRuleFiles:
     def test_load_dump_round_trip(self, tmp_path):
         path = tmp_path / "rules.yaml"
-        path.write_text(dump_rules(default_rule_set()), encoding="utf-8")
+        rows = [{"path": r.path, "group": r.group,
+                 "actions": sorted(a.value for a in r.actions),
+                 "ownership": r.ownership_required}
+                for r in default_rule_set()]
+        path.write_text(yaml.safe_dump(rows, sort_keys=False), encoding="utf-8")
         loaded = load_rules(path)
         assert {(r.path, r.group, r.actions, r.ownership_required)
                 for r in loaded} == \
@@ -94,8 +96,8 @@ class TestRuleFiles:
                         '"actions": ["read"], "ownership": false}]',
                         encoding="utf-8")
         rules = load_rules(path)
-        assert effective_permission(rules, {"G21"}, "/pet", Action.READ)[0] \
-            is Permission.ALLOW_ANY
+        assert not matching_rule(rules, {"G21"}, "/pet",
+                                 Action.READ).ownership_required
 
     def test_unknown_action_name_rejected(self, tmp_path):
         path = tmp_path / "rules.yaml"
@@ -158,7 +160,12 @@ class TestRuleFiles:
             load_rules(path)
 
 
-_WIDTH = {Permission.DENY: 0, Permission.ALLOW_OWN_ONLY: 1, Permission.ALLOW_ANY: 2}
+def _width(rule):
+    """How far a matching rule lets the groups in: none, own only, any."""
+    if rule is None:
+        return 0
+    return 1 if rule.ownership_required else 2
+
 
 rule_strategy = st.builds(
     GroupRule,
@@ -187,9 +194,9 @@ class TestMonotonicity:
            st.sampled_from(list(Action)))
     def test_adding_a_group_never_narrows_permission(self, rules, groups, extra,
                                                      path, action):
-        before, _ = effective_permission(rules, groups, path, action)
-        after, _ = effective_permission(rules, groups | {extra}, path, action)
-        assert _WIDTH[after] >= _WIDTH[before]
+        before = matching_rule(rules, groups, path, action)
+        after = matching_rule(rules, groups | {extra}, path, action)
+        assert _width(after) >= _width(before)
 
 
 class TestResolvedRule:
@@ -200,15 +207,15 @@ class TestResolvedRule:
            st.sampled_from(list(Action)))
     def test_permission_matches_oracle_and_rule_is_the_first_widest(
             self, rules, groups, path, action):
-        permission, rule = effective_permission(rules, groups, path, action)
+        rule = matching_rule(rules, groups, path, action)
         rows = [{"path": r.path, "group": r.group,
                  "actions": {a.value for a in r.actions},
                  "ownership": r.ownership_required} for r in rules]
-        # An own-only permission lets the owner in and no one else; a
-        # waiving one lets anyone in; a denial no one.
+        # An own-only rule lets the owner in and no one else; a waiving one
+        # lets anyone in; no rule no one.
         ace = {"owner": "owner", "users_ro": [], "users_rw": ["owner"]}
-        for user, allowed in (("owner", permission is not Permission.DENY),
-                              ("stranger", permission is Permission.ALLOW_ANY)):
+        for user, allowed in (("owner", _width(rule) >= 1),
+                              ("stranger", _width(rule) == 2)):
             assert oracle_access(rows, set(groups), path, action.value, user,
                                  ace) is allowed
         matching = [r for r in rules if r.path == path and r.group in groups
