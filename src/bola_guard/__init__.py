@@ -52,7 +52,6 @@ from .acl import AccessControlEntry, apply_grant
 from .engine import AuthzDecision, AuthzEngine, DecisionReason
 from .store import AclStore, ObjectStore
 from .generator import (
-    PrivilegeProviderMarker,
     StubManifest,
     roundtrip_check,
     spec_to_stub,
@@ -89,7 +88,6 @@ __all__ = [
     "ObjectStore",
     "PathItem",
     "Placement",
-    "PrivilegeProviderMarker",
     "ReferenceService",
     "RuleSetError",
     "ScopeClaims",

@@ -2,9 +2,13 @@
 
 Spec → stub writes a language-neutral tree:
 
-* ``manifest.json``: routes, methods, and per-route authorization wiring.
-* ``handlers/<path-slug>.stub``: one skeleton per path; every handler of an
-  authorization-bound path carries a privilege marker line directly above it.
+* ``manifest.json``: routes, methods, and per-route authorization wiring;
+  its ``version`` and ``module_includes`` (which follows from the routes)
+  are written for readers and not read back.
+* ``handlers/<path-slug>.stub``: one skeleton per path (a slug that an
+  earlier path took gets the first free ``_<n>`` suffix from ``_2`` on);
+  every handler of an authorization-bound path carries a privilege marker
+  line directly above it, as :meth:`ObjectAuthAttachment.marker` writes it.
 * ``privilege_provider/provider.descriptor``: present iff any route is bound;
   records the provider configuration matched from the scheme details.
 
@@ -20,7 +24,8 @@ and its markers, which must name that route, agree, and number one per
 handler, bind it. Without a manifest the scanned routes are the manifest;
 with one, every route that either side binds must have the same methods and
 marker on both (any disagreement is an error). Recovered documents always
-use the root-level design, with a minimal object schema per bound path.
+use the root-level design, with a minimal object schema per bound path whose
+object ref names the id property as an escaped JSON pointer segment.
 
 Both directions work in memory: :func:`render_stub` builds the tree as a
 ``{relpath: text}`` map and :func:`recover_document` reads the manifest text
@@ -76,20 +81,6 @@ HANDLER_DEF_RE = re.compile(rf"^def handle_({'|'.join(VERB_ORDER)})\(")
 
 
 @dataclass(frozen=True)
-class PrivilegeProviderMarker:
-    path: str
-    token_location: str          # header | body
-    groups: bool
-    user_id: bool
-
-    def line(self) -> str:
-        return (f'# @object_privilege(path="{self.path}", '
-                f'token_in="{self.token_location}", '
-                f'groups={str(self.groups).lower()}, '
-                f'user_id={str(self.user_id).lower()})')
-
-
-@dataclass(frozen=True)
 class ObjectAuthAttachment:
     scheme_name: str
     token_location: str          # header | body
@@ -97,13 +88,13 @@ class ObjectAuthAttachment:
     user_id_claim: str | None
     object_id_property: str
 
-    def marker(self, path: str) -> PrivilegeProviderMarker:
-        return PrivilegeProviderMarker(
-            path=path,
-            token_location=self.token_location,
-            groups=self.groups_claim is not None,
-            user_id=self.user_id_claim is not None,
-        )
+    def marker(self, path: str) -> str:
+        """The privilege marker line of this wiring on ``path``: the one
+        writer of the grammar that :data:`MARKER_RE` reads."""
+        return (f'# @object_privilege(path="{path}", '
+                f'token_in="{self.token_location}", '
+                f'groups={str(self.groups_claim is not None).lower()}, '
+                f'user_id={str(self.user_id_claim is not None).lower()})')
 
 
 @dataclass(frozen=True)
@@ -116,22 +107,22 @@ class RouteSpec:
 @dataclass(frozen=True)
 class StubManifest:
     routes: tuple[RouteSpec, ...]
-    module_includes: tuple[str, ...]
 
-    @classmethod
-    def of(cls, routes: tuple[RouteSpec, ...]) -> "StubManifest":
-        """The manifest of ``routes``; it includes the provider iff one is bound."""
-        bound = any(r.object_auth for r in routes)
-        return cls(routes=routes, module_includes=(PROVIDER_MODULE,) if bound else ())
+    @property
+    def module_includes(self) -> tuple[str, ...]:
+        """The provider module iff a route is bound."""
+        return (PROVIDER_MODULE,) if any(r.object_auth for r in self.routes) else ()
 
     def to_json(self) -> str:
-        return json.dumps({"version": 1, **asdict(self)}, indent=2) + "\n"
+        return json.dumps({"version": 1, **asdict(self),
+                           "module_includes": self.module_includes}, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "StubManifest":
         """Read what :meth:`to_json` writes: a :class:`DocumentSyntaxError`
         for text that is not JSON, a :class:`StructureError` for JSON of
-        another shape."""
+        another shape. ``version`` and ``module_includes`` are written for
+        readers and not read back; the latter must still be an array."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -153,8 +144,8 @@ class StubManifest:
                                               "an object_auth", "id"),
                 ),
             ))
-        includes = _field(payload, "module_includes", list, "the manifest", [])
-        return cls(routes=tuple(routes), module_includes=tuple(includes))
+        _field(payload, "module_includes", list, "the manifest", [])
+        return cls(routes=tuple(routes))
 
 
 _REQUIRED = object()
@@ -194,7 +185,7 @@ def manifest_from_document(doc: EssDocument) -> StubManifest:
         binding = doc.path_binding(path)
         attachment = None if binding is None else _wiring(doc, binding)
         routes.append(RouteSpec(path=path, methods=methods, object_auth=attachment))
-    return StubManifest.of(tuple(routes))
+    return StubManifest(tuple(routes))
 
 
 def _wiring(doc: EssDocument, binding: ObjectAuthBinding) -> ObjectAuthAttachment:
@@ -236,8 +227,8 @@ def path_slug(path: str) -> str:
 
 def render_stub(doc: EssDocument) -> tuple[StubManifest, dict[str, str]]:
     """The server stub tree of a document with no error findings, as its
-    manifest and a ``{relpath: text}`` map; a later route whose slug collides
-    with an earlier one replaces its handler file, as on disk."""
+    manifest and a ``{relpath: text}`` map; a route whose slug an earlier
+    route took gets the first free ``_<n>`` suffix from ``_2`` on."""
     findings = validate(doc)
     if has_errors(findings):
         raise ValidationFailedError([f for f in findings if f.severity == "error"])
@@ -249,11 +240,16 @@ def render_stub(doc: EssDocument) -> tuple[StubManifest, dict[str, str]]:
                  "# server stub skeleton; fill in each handler.", ""]
         for verb in route.methods:
             if route.object_auth is not None:
-                lines.append(route.object_auth.marker(route.path).line())
+                lines.append(route.object_auth.marker(route.path))
             lines.append(f"def handle_{verb}(request):")
             lines.append(f'    raise NotImplementedError("{verb} {route.path}")')
             lines.append("")
-        files[f"{HANDLERS_DIR}/{path_slug(route.path)}.stub"] = "\n".join(lines)
+        slug = name = path_slug(route.path)
+        n = 1
+        while f"{HANDLERS_DIR}/{name}.stub" in files:
+            n += 1
+            name = f"{slug}_{n}"
+        files[f"{HANDLERS_DIR}/{name}.stub"] = "\n".join(lines)
 
     if manifest.module_includes:
         configurations = sorted({
@@ -272,8 +268,8 @@ def render_stub(doc: EssDocument) -> tuple[StubManifest, dict[str, str]]:
 
 
 def spec_to_stub(doc: EssDocument, out_dir: str | Path) -> StubManifest:
-    """Write the server stub tree for a document with no error findings;
-    ``handlers/`` exists even when the document has no route."""
+    """Write the server stub tree of :func:`render_stub` for a document with
+    no error findings; ``handlers/`` exists even when it has no route."""
     manifest, files = render_stub(doc)
     out = Path(out_dir)
     (out / HANDLERS_DIR).mkdir(parents=True, exist_ok=True)
@@ -312,7 +308,7 @@ def recover_document(manifest_text: str | None,
     a manifest the scanned routes are the manifest; with one, every route
     that either side binds has the same :func:`_guard` on both."""
     scanned = _scan_routes(handlers)
-    manifest = (StubManifest.of(tuple(scanned[p] for p in sorted(scanned)))
+    manifest = (StubManifest(tuple(scanned[p] for p in sorted(scanned)))
                 if manifest_text is None else StubManifest.from_json(manifest_text))
     declared = {r.path: r for r in manifest.routes}
     for path in sorted(declared.keys() | scanned.keys()):
@@ -330,7 +326,7 @@ def _guard(route: RouteSpec | None) -> str | None:
     if route is None or route.object_auth is None or not route.methods:
         return None
     methods = "/".join(sorted(set(route.methods), key=VERB_ORDER.index))
-    return f"{methods} with {route.object_auth.marker(route.path).line()}"
+    return f"{methods} with {route.object_auth.marker(route.path)}"
 
 
 def _scan_routes(handlers: list[tuple[str, str]]) -> dict[str, RouteSpec]:
@@ -345,7 +341,7 @@ def _scan_routes(handlers: list[tuple[str, str]]) -> dict[str, RouteSpec]:
     for label, text in handlers:
         route = None
         methods: list[str] = []
-        markers: list[PrivilegeProviderMarker] = []
+        markers: list[tuple[str, ...]] = []
         for line_no, line in enumerate(text.splitlines(), start=1):
             header = ROUTE_HEADER_RE.match(line)
             if header and route is None:
@@ -354,25 +350,23 @@ def _scan_routes(handlers: list[tuple[str, str]]) -> dict[str, RouteSpec]:
                 matched = MARKER_RE.match(line)
                 if matched is None:
                     raise MarkerSyntaxError(label, line_no, line)
-                path, location, groups, user_id = matched.groups()
-                markers.append(PrivilegeProviderMarker(path, location, groups == "true",
-                                                       user_id == "true"))
+                markers.append(matched.groups())
             elif handler := HANDLER_DEF_RE.match(line):
                 methods.append(handler.group(1))
 
         attachment = None
         if markers:
-            marker = markers[0]
+            path, location, groups, user_id = markers[0]
             if route is None:
                 raise StubInconsistentError(
-                    f"{label}: marker for {marker.path!r} in a handler file "
+                    f"{label}: marker for {path!r} in a handler file "
                     f"with no '# route:' header")
-            if any(m != marker for m in markers):
+            if any(m != markers[0] for m in markers):
                 raise StubInconsistentError(
                     f"{label}: conflicting markers in one handler file")
-            if marker.path != route:
+            if path != route:
                 raise StubInconsistentError(
-                    f"{label}: marker for {marker.path!r} under "
+                    f"{label}: marker for {path!r} under "
                     f"'# route: {route}'")
             if len(markers) != len(methods):
                 raise StubInconsistentError(
@@ -380,9 +374,9 @@ def _scan_routes(handlers: list[tuple[str, str]]) -> dict[str, RouteSpec]:
                     f"{len(methods)} handler(s)")
             attachment = ObjectAuthAttachment(
                 scheme_name=CANON_SCHEME_NAME,
-                token_location=marker.token_location,
-                groups_claim="string" if marker.groups else None,
-                user_id_claim="string" if marker.user_id else None,
+                token_location=location,
+                groups_claim="string" if groups == "true" else None,
+                user_id_claim="string" if user_id == "true" else None,
                 object_id_property="id",
             )
         if route is not None:
@@ -433,8 +427,8 @@ def document_from_manifest(manifest: StubManifest) -> EssDocument:
                 "type": "object",
                 "properties": {id_prop: {"type": "integer", "format": "int64"}},
                 "x-objectAuth": {
-                    "object": {"$ref": f"#/components/schemas/{schema_name}"
-                                       f"/properties/{id_prop}"},
+                    "object": {"$ref": f"#/components/schemas/{schema_name}/properties/"
+                                       + urllib.parse.quote(_escape_pointer(id_prop))},
                     "schema": {"$ref": scheme_ref},
                     "scopes": scopes,
                 },
@@ -492,21 +486,12 @@ def _ensure_scheme(schemes: dict, auth: ObjectAuthAttachment) -> str:
 # Round trip
 
 
-def ess_facts(doc: EssDocument) -> dict[str, dict | None]:
-    """Authorization facts preserved by a round trip, per path."""
-    facts: dict[str, dict | None] = {}
-    for path in doc.paths:
-        binding = doc.path_binding(path)
-        if binding is None:
-            facts[path] = None
-            continue
-        wiring = _wiring(doc, binding)
-        facts[path] = {
-            "token_in": wiring.token_location,
-            "groups": wiring.groups_claim is not None,
-            "user_id": wiring.user_id_claim is not None,
-        }
-    return facts
+def ess_facts(doc: EssDocument) -> dict[str, str | None]:
+    """Authorization facts preserved by a round trip: per path, the marker
+    line of its wiring, or None when it is unbound."""
+    bindings = {path: doc.path_binding(path) for path in doc.paths}
+    return {path: None if binding is None else _wiring(doc, binding).marker(path)
+            for path, binding in bindings.items()}
 
 
 def stub_matches_spec(doc: EssDocument, stub_dir: str | Path) -> bool:

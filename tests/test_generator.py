@@ -21,7 +21,6 @@ from bola_guard.generator import (
     MANIFEST_NAME,
     MARKER_LIKE_RE,
     ObjectAuthAttachment,
-    PrivilegeProviderMarker,
     RouteSpec,
     StubManifest,
     document_from_manifest,
@@ -34,6 +33,9 @@ from bola_guard.generator import (
 from bola_guard.validator import classify_design, has_errors
 
 from conftest import CORPUS, FIXTURES, fixture_doc, mutate
+
+X_HEADER = ObjectAuthAttachment("X-objectAuthScheme", "header", "string",
+                                "string", "id")
 
 
 class TestManifest:
@@ -120,8 +122,8 @@ class TestSchemeWiring:
                 _auth(tree)["token"] = token
         doc = mutate(root_doc, point)
         assert has_errors(validate(doc))
-        assert ess_facts(doc) == \
-            {"/pet": {"token_in": token_in, "groups": True, "user_id": True}}
+        assert ess_facts(doc) == {"/pet": '# @object_privilege(path="/pet", '
+                                  f'token_in="{token_in}", groups=true, user_id=true)'}
         [route] = manifest_from_document(doc).routes
         assert route.object_auth.scheme_name == "X-objectAuthScheme"
         spec_to_stub(root_doc, tmp_path)
@@ -234,9 +236,8 @@ class TestStubToSpec:
     def test_a_marker_in_a_file_without_a_route_header_is_refused(self, tmp_path):
         handlers = tmp_path / "handlers"
         handlers.mkdir()
-        marker = PrivilegeProviderMarker("/pet", "header", True, True)
         (handlers / "pet.stub").write_text(
-            f"{marker.line()}\ndef handle_get(request):\n    pass\n",
+            f"{X_HEADER.marker('/pet')}\ndef handle_get(request):\n    pass\n",
             encoding="utf-8")
         with pytest.raises(StubInconsistentError, match="no '# route:' header"):
             stub_to_spec(tmp_path)
@@ -264,18 +265,34 @@ class TestStubToSpec:
                                                  ("string", None), (None, None)])
     def test_a_null_claim_is_left_out_of_the_recovered_document(self, groups,
                                                                 user_id):
-        doc = document_from_manifest(StubManifest((RouteSpec(
-            "/pet", ("post",), ObjectAuthAttachment(
-                "X-objectAuthScheme", "header", groups, user_id, "id")),),
-            ("privilege_provider",)))
+        attachment = ObjectAuthAttachment("X-objectAuthScheme", "header",
+                                          groups, user_id, "id")
+        doc = document_from_manifest(StubManifest(
+            (RouteSpec("/pet", ("post",), attachment),)))
         scopes = _auth(doc.raw)["scopes"]
         scheme = doc.raw["components"]["securitySchemes"]["X-objectAuthScheme"]
         declared = (groups is not None, user_id is not None)
         assert ("groups" in scopes, "user_id" in scopes) == declared
         assert ("x-groups" in scheme, "x-user_id" in scheme) == declared
-        assert ess_facts(doc) == {"/pet": {"token_in": "header",
-                                           "groups": declared[0],
-                                           "user_id": declared[1]}}
+        assert ess_facts(doc) == {"/pet": attachment.marker("/pet")}
+
+    @pytest.mark.parametrize("prop, segment", [("pet/id", "pet~1id"),
+                                               ("a~b", "a~0b"),
+                                               ("a%2Fb", "a%252Fb")])
+    def test_the_recovered_object_ref_escapes_the_id_property(
+            self, root_doc, tmp_path, prop, segment):
+        def rename(tree):
+            pet = tree["components"]["schemas"]["Pet"]
+            pet["properties"][prop] = pet["properties"].pop("id")
+            _auth(tree)["object"] = {
+                "$ref": f"#/components/schemas/Pet/properties/{segment}"}
+        doc = mutate(root_doc, rename)
+        assert validate(doc) == []
+        spec_to_stub(doc, tmp_path)
+        recovered = stub_to_spec(tmp_path)
+        assert validate(recovered) == []
+        assert _auth(recovered.raw)["object"]["$ref"].endswith(f"/{segment}")
+        assert manifest_from_document(recovered) == manifest_from_document(doc)
 
     def test_empty_directory_raises_no_stub_found(self, tmp_path):
         with pytest.raises(NoStubFoundError):
@@ -293,8 +310,8 @@ class TestStubToSpec:
     def test_marker_for_unbound_route_is_a_disagreement(self, tmp_path):
         spec_to_stub(fixture_doc("no_ess_plain"), tmp_path)
         stub = tmp_path / "handlers" / "health.stub"
-        marker = PrivilegeProviderMarker("/health", "header", True, True)
-        stub.write_text(stub.read_text() + marker.line() + "\n", encoding="utf-8")
+        stub.write_text(stub.read_text() + X_HEADER.marker("/health") + "\n",
+                        encoding="utf-8")
         with pytest.raises(StubInconsistentError):
             stub_to_spec(tmp_path)
 
@@ -305,10 +322,8 @@ class TestStubToSpec:
             # strip every marker and the manifest's attachments
             manifest = StubManifest.from_json(
                 (out / MANIFEST_NAME).read_text(encoding="utf-8"))
-            stripped = StubManifest(
-                routes=tuple(RouteSpec(r.path, r.methods, None)
-                             for r in manifest.routes),
-                module_includes=())
+            stripped = StubManifest(tuple(RouteSpec(r.path, r.methods, None)
+                                          for r in manifest.routes))
             (out / MANIFEST_NAME).write_text(stripped.to_json(), encoding="utf-8")
             for stub in (out / "handlers").glob("*.stub"):
                 lines = [l for l in stub.read_text().splitlines()
@@ -334,7 +349,7 @@ def _keeps_facts(doc, manifest_text, handlers) -> bool:
 
 X_BODY = ObjectAuthAttachment("X-objectAuthScheme", "body", "string", "string",
                               "id")
-X_MANIFEST = StubManifest.of([RouteSpec("/x", ("get",), X_BODY)]).to_json()
+X_MANIFEST = StubManifest((RouteSpec("/x", ("get",), X_BODY),)).to_json()
 
 
 class TestStubReader:
@@ -343,15 +358,14 @@ class TestStubReader:
     @pytest.mark.parametrize("manifest_text", [None, X_MANIFEST],
                              ids=["no_manifest", "manifest"])
     def test_a_marker_that_names_another_path_is_refused(self, manifest_text):
-        marker = X_BODY.marker("/y")
-        text = f"# route: /x\n{marker.line()}\ndef handle_get(request):\n"
+        text = f"# route: /x\n{X_BODY.marker('/y')}\ndef handle_get(request):\n"
         with pytest.raises(StubInconsistentError, match="under '# route: /x'"):
             recover_document(manifest_text, [("handlers/x.stub", text)])
 
     @pytest.mark.parametrize("manifest_text", [None, X_MANIFEST],
                              ids=["no_manifest", "manifest"])
     def test_a_marker_without_a_handler_is_refused(self, manifest_text):
-        text = f"# route: /x\n{X_BODY.marker('/x').line()}\n"
+        text = f"# route: /x\n{X_BODY.marker('/x')}\n"
         with pytest.raises(StubInconsistentError,
                            match=r"1 marker\(s\) for 0 handler\(s\)"):
             recover_document(manifest_text, [("handlers/x.stub", text)])
@@ -363,13 +377,13 @@ class TestStubReader:
         assert recovered.bindings() == []
 
     def test_a_helper_named_like_a_handler_is_no_method(self):
-        text = (f"# route: /x\n{X_BODY.marker('/x').line()}\n"
+        text = (f"# route: /x\n{X_BODY.marker('/x')}\n"
                 "def handle_get(request):\n    return handle_errors(request)\n"
                 "def handle_errors(request):\n    pass\n")
         recovered = recover_document(None, [("handlers/x.stub", text)])
         assert list(recovered.raw["paths"]["/x"]) == ["get", "x-objects"]
-        assert ess_facts(recovered) == \
-            {"/x": {"token_in": "body", "groups": True, "user_id": True}}
+        assert ess_facts(recovered) == {"/x": '# @object_privilege(path="/x", '
+                                        'token_in="body", groups=true, user_id=true)'}
 
     def test_a_renamed_handler_disagrees_with_the_manifest(self, root_doc):
         _, files = render_stub(root_doc)
@@ -391,7 +405,7 @@ class TestStubReader:
         assert roundtrip_check(bare)
 
     def test_the_manifest_names_each_recovered_scheme(self):
-        manifest = StubManifest.of(tuple(
+        manifest = StubManifest(tuple(
             RouteSpec(path, ("get",), ObjectAuthAttachment(
                 scheme, location, "string", "string", "id"))
             for path, scheme, location in [("/pet", "MyScheme", "header"),
@@ -439,8 +453,7 @@ class TestRoundTrip:
 
 
 def _bound(path: str) -> RouteSpec:
-    return RouteSpec(path, ("post", "get"), ObjectAuthAttachment(
-        "X-objectAuthScheme", "header", "string", "string", "id"))
+    return RouteSpec(path, ("post", "get"), X_HEADER)
 
 
 # Every fixture, plus documents whose stubs are edge cases: two paths whose
@@ -449,13 +462,11 @@ def _bound(path: str) -> RouteSpec:
 IN_MEMORY_CASES = {
     **{name: (lambda name=name: fixture_doc(name)) for name in CORPUS},
     "slug_collision_bound": lambda: document_from_manifest(StubManifest(
-        (_bound("/a-b"), _bound("/a_b")), ("privilege_provider",))),
+        (_bound("/a-b"), _bound("/a_b")))),
     "slug_collision_unbound": lambda: document_from_manifest(StubManifest(
-        (RouteSpec("/a-b", ("get",), None), _bound("/a_b")),
-        ("privilege_provider",))),
+        (RouteSpec("/a-b", ("get",), None), _bound("/a_b")))),
     "no_bound_route": lambda: document_from_manifest(StubManifest(
-        (RouteSpec("/a-b", ("get",), None), RouteSpec("/a_b", ("put",), None)),
-        ())),
+        (RouteSpec("/a-b", ("get",), None), RouteSpec("/a_b", ("put",), None)))),
     "no_route": lambda: parse_document("openapi: 3.0.3\npaths: {}\n"),
 }
 
@@ -481,15 +492,21 @@ class TestInMemoryStub:
         spec_to_stub(doc, tmp_path)
         assert roundtrip_check(doc) == stub_matches_spec(doc, tmp_path)
 
-    def test_a_slug_collision_breaks_both_round_trips(self, tmp_path):
-        doc = IN_MEMORY_CASES["slug_collision_bound"]()
+    def test_paths_whose_slugs_collide_get_a_file_each(self, tmp_path):
+        doc = document_from_manifest(StubManifest(
+            (_bound("/a-b"), _bound("/a_b"), _bound("/a_b_2"))))
         _, files = render_stub(doc)
-        # One file, holding the later route's handlers.
-        assert [p for p in files if p.startswith("handlers/")] == ["handlers/a_b.stub"]
-        assert "# route: /a_b" in files["handlers/a_b.stub"]
-        assert not roundtrip_check(doc)
+        # The first free ``_<n>`` suffix from ``_2`` on, in path order.
+        assert [p for p in files if p.startswith("handlers/")] == \
+            ["handlers/a_b.stub", "handlers/a_b_2.stub", "handlers/a_b_2_2.stub"]
+        assert "# route: /a_b\n" in files["handlers/a_b_2.stub"]
+        for manifest_text in (files[MANIFEST_NAME], None):
+            recovered = recover_document(manifest_text, _handlers(files))
+            assert ess_facts(recovered) == ess_facts(doc)
+        assert roundtrip_check(doc)
         spec_to_stub(doc, tmp_path)
-        assert not stub_matches_spec(doc, tmp_path)
+        assert set(stub_to_spec(tmp_path).paths) == {"/a-b", "/a_b", "/a_b_2"}
+        assert stub_matches_spec(doc, tmp_path)
 
     def test_round_trip_writes_nothing(self, root_doc, monkeypatch):
         def refuse(*args, **kwargs):
@@ -522,15 +539,17 @@ attachment_strategy = st.one_of(
         token_location=st.sampled_from(["header", "body"]),
         groups_claim=st.just("string"),
         user_id_claim=st.just("string"),
-        object_id_property=st.sampled_from(["id", "identifier"]),
+        object_id_property=st.sampled_from(["id", "identifier", "pet/id", "a~b",
+                                            "a%2Fb"]),
     ),
 )
 
 
 @st.composite
 def manifests(draw):
-    paths = draw(st.lists(st.sampled_from(["/pet", "/user", "/order", "/toy"]),
-                          unique=True, min_size=1, max_size=4))
+    paths = draw(st.lists(st.sampled_from(["/pet", "/user", "/order", "/toy",
+                                           "/a-b", "/a_b"]),
+                          unique=True, min_size=1, max_size=6))
     routes = []
     for path in sorted(paths):
         methods = tuple(sorted(
@@ -539,9 +558,7 @@ def manifests(draw):
             key=["post", "get", "put", "delete"].index))
         routes.append(RouteSpec(path=path, methods=methods,
                                 object_auth=draw(attachment_strategy)))
-    includes = ("privilege_provider",) if any(r.object_auth for r in routes) \
-        else ()
-    return StubManifest(routes=tuple(routes), module_includes=includes)
+    return StubManifest(tuple(routes))
 
 
 class TestGeneratedDocumentProperties:
@@ -556,14 +573,8 @@ class TestGeneratedDocumentProperties:
         doc = document_from_manifest(manifest)
         facts = ess_facts(doc)
         for route in manifest.routes:
-            if route.object_auth is None:
-                assert facts[route.path] is None
-            else:
-                assert facts[route.path] == {
-                    "token_in": route.object_auth.token_location,
-                    "groups": True,
-                    "user_id": True,
-                }
+            assert facts[route.path] == (None if route.object_auth is None else
+                                         route.object_auth.marker(route.path))
 
     @given(manifests())
     def test_built_documents_validate_cleanly(self, manifest):
