@@ -17,6 +17,8 @@ whitespace allowed)::
 
     # @object_privilege(path="<path>", token_in="<header|body>", groups=<true|false>, user_id=<true|false>)
 
+with ``"<path>"`` a JSON string literal; ``# route: <path>`` is bare, right-trimmed.
+
 Stub → spec reads every handler file through one scan: a file's
 ``# route:`` header names its route, its ``def handle_<verb>`` lines (the
 verbs of :data:`~bola_guard.actions.VERB_ORDER`) are the route's methods,
@@ -72,11 +74,12 @@ MANIFEST_NAME = "manifest.json"
 HANDLERS_DIR = "handlers"
 DESCRIPTOR_PATH = f"{PROVIDER_MODULE}/provider.descriptor"
 
+# The path is a JSON string literal (RFC 8259 §7), as ``json.dumps`` writes it.
 MARKER_RE = re.compile(
-    r'^\s*# @object_privilege\(path="([^"]*)", token_in="(header|body)", '
-    r'groups=(true|false), user_id=(true|false)\)\s*$')
+    r'^\s*# @object_privilege\(path=("(?:[^"\\\x00-\x1f]|\\["\\/bfnrt]|\\u[0-9a-fA-F]{4})*"), '
+    r'token_in="(header|body)", groups=(true|false), user_id=(true|false)\)\s*$')
 MARKER_LIKE_RE = re.compile(r"^\s*#\s*@object_privilege")
-ROUTE_HEADER_RE = re.compile(r"^# route: (\S+)\s*$")
+ROUTE_HEADER_RE = re.compile(r"^# route: (\S(?:.*\S)?)\s*$")
 HANDLER_DEF_RE = re.compile(rf"^def handle_({'|'.join(VERB_ORDER)})\(")
 
 
@@ -91,7 +94,7 @@ class ObjectAuthAttachment:
     def marker(self, path: str) -> str:
         """The privilege marker line of this wiring on ``path``: the one
         writer of the grammar that :data:`MARKER_RE` reads."""
-        return (f'# @object_privilege(path="{path}", '
+        return (f'# @object_privilege(path={json.dumps(path, ensure_ascii=False)}, '
                 f'token_in="{self.token_location}", '
                 f'groups={str(self.groups_claim is not None).lower()}, '
                 f'user_id={str(self.user_id_claim is not None).lower()})')
@@ -350,7 +353,8 @@ def _scan_routes(handlers: list[tuple[str, str]]) -> dict[str, RouteSpec]:
                 matched = MARKER_RE.match(line)
                 if matched is None:
                     raise MarkerSyntaxError(label, line_no, line)
-                markers.append(matched.groups())
+                # A path has more than one JSON spelling: compare it decoded.
+                markers.append((json.loads(matched[1]), *matched.groups()[1:]))
             elif handler := HANDLER_DEF_RE.match(line):
                 methods.append(handler.group(1))
 

@@ -25,24 +25,27 @@ body or ``Content-Length``, 500 any failure (its body and log line name the
 request ``seq``). Rule lookups use the directory template (``/pet``), never
 the concrete URL.
 
-The HTTP adapter speaks HTTP/1.1 and keeps a connection open for the next
-request; it sends each reply, status line to body, in one write. It closes
-a connection that stays silent for :data:`IDLE_TIMEOUT_S` while it waits for
-a request line or headers, between kept-alive requests too. It answers a
-``Content-Length`` above :data:`MAX_BODY_BYTES` with 413 without reading the
-body, a body that stalls for :data:`IDLE_TIMEOUT_S` with 408, any
-``Transfer-Encoding`` with 501, and a malformed ``Content-Length``, or
-duplicate ones that differ, with 400 (RFC 9112 §6.3), as it does a header
-line that is not ``name: value``. The body of such a request may still be in
-the socket, so each of these replies carries ``Connection: close`` and
-closes the connection, as does the reply to an HTTP/1.0 request or to one
-that sends ``Connection: close``. A request that sends
-``Expect: 100-continue`` gets such a reply in place of ``100 Continue``.
-
-The core is transport-neutral (:meth:`ReferenceService.handle_request`); a
-thin stdlib HTTP adapter serves it. Handlers never touch business state
-before an allowed decision; an observer hook exposes the event order so
-tests can assert it.
+The core is transport-neutral (:meth:`ReferenceService.handle_request`);
+handlers never touch business state before an allowed decision; an observer
+hook exposes the event order so tests can assert it. The HTTP adapter reads
+and writes HTTP/1.1 itself (RFC 9112): one pass over the header lines checks
+each and builds the lower-cased headers, values unpadded, that
+``handle_request`` gets; each reply is one write; a connection stays open
+unless it is HTTP/0.9, HTTP/1.0 without ``keep-alive``, or its
+``Connection`` token list holds ``close``. A connection silent for
+:data:`IDLE_TIMEOUT_S` while a request line or headers are due, or that ends
+inside a request, closes without a reply. Refusals carry an :func:`_error`
+body and close, as the body may still be in the socket: 414/431
+``request_line_too_long``/``header_line_too_long`` past 65,536 bytes, 431
+``too_many_header_lines`` at 100; 400 ``invalid_version``, or
+``invalid_request_line`` (not ``method target [version]``, or HTTP/0.9 not
+GET); 505 ``version_not_supported``; 501 ``method_not_implemented`` (no body
+for HEAD); 400 ``invalid_header`` for a line not ``name: value`` or differing
+``api_key`` repeats; 501 any ``Transfer-Encoding``; 400 a malformed or
+ambiguous ``Content-Length`` (RFC 9112 §6.3); 413 above
+:data:`MAX_BODY_BYTES`, unread; 408 a body stalled for
+:data:`IDLE_TIMEOUT_S`. Only an HTTP/1.1 ``Expect: 100-continue`` that draws
+none of these is sent ``100 Continue``.
 """
 
 from __future__ import annotations
@@ -50,12 +53,12 @@ from __future__ import annotations
 import json
 import logging
 import re
+import socketserver
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Callable
 from urllib.parse import urlsplit
 
@@ -339,109 +342,143 @@ def _parse_body(body: bytes | None) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# Stdlib HTTP adapter
+# HTTP/1.1 adapter (RFC 9112)
 
-# A header line as RFC 9112 §5 has it: a token, a colon, then a value with
-# no CR. The stdlib reads other lines in ways a front end may not: it ends
-# the header block at ``Content-Length : 5``, joins a line that starts with
-# a space to the one before it, and splits a line at a bare CR.
-_FIELD_LINE = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+:[^\r\n]*\r?\n")
+# A header line as RFC 9112 §5 has it; parsers disagree on any other line
+# (``Content-Length : 5``, no colon, obs-fold, a bare CR), which refuses the
+# request. The value's padding is stripped after: a regex would backtrack.
+_FIELD_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n]*)\r?\n")
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+_MAX_LINE = 65536
+_METHODS = frozenset(("GET", "POST", "PUT", "DELETE"))
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n" for s in HTTPStatus}
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
 
-class _Handler(BaseHTTPRequestHandler):
+def _http_date() -> str:
+    """Now as an IMF-fixdate (RFC 9110 §5.6.7), whatever the locale."""
+    t = time.gmtime()
+    return time.strftime(f"{_DAYS[t.tm_wday]}, %d {_MONTHS[t.tm_mon - 1]} %Y %H:%M:%S GMT", t)
+
+
+class _Handler(socketserver.StreamRequestHandler):
     service: ReferenceService  # set per server
-    protocol_version = "HTTP/1.1"
+    # Every socket read and write: a connection whose request line or
+    # headers stall this long is closed, also between kept-alive requests.
+    timeout = IDLE_TIMEOUT_S
     # A reply longer than one segment must not wait on the ACK of its first.
     disable_nagle_algorithm = True
-    # A request line without a version is answered as HTTP/1.0 (HTTP/0.9
-    # has no status line or header buffer to carry the body), then closed.
-    default_request_version = "HTTP/1.0"
-    # Every socket read and write; the stdlib closes a connection whose
-    # request line or headers stall this long, also between kept-alive
-    # requests.
-    timeout = IDLE_TIMEOUT_S
 
-    def parse_request(self) -> bool:
-        # Keep the raw header lines the stdlib reads, for _body_length.
-        rfile, lines = self.rfile, []
-        self.header_lines = lines
-
-        def readline(size: int = -1) -> bytes:
-            lines.append(rfile.readline(size))
-            return lines[-1]
-
-        self.rfile = SimpleNamespace(readline=readline)
+    def handle(self) -> None:
         try:
-            return super().parse_request()
-        finally:
-            self.rfile = rfile
+            while self._exchange():
+                pass
+        except (ConnectionError, TimeoutError):
+            pass  # the client went away or fell silent: close, no reply
 
-    def handle_expect_100(self) -> bool:
-        # A body the headers already refuse is refused, not invited.
-        length = self._body_length()
-        if isinstance(length, Response):
-            self._refuse(length)
+    def _exchange(self) -> bool:
+        """Read one request and send its reply; True keeps the connection."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            return self._send(_error(414, "request_line_too_long"))
+        words = line.decode("latin-1").split()
+        if not words:
             return False
-        return super().handle_expect_100()
+        # A request line without a version is HTTP/0.9: a GET, answered
+        # with a status line and headers all the same, then closed.
+        version = (0, 9)
+        if len(words) >= 3:
+            number = _VERSION.fullmatch(words[-1])
+            if number is None:
+                return self._send(_error(400, "invalid_version"))
+            version = int(number[1]), int(number[2])
+            if version >= (2, 0):
+                return self._send(_error(505, "version_not_supported"))
+        if not 2 <= len(words) <= 3 or len(words) == 2 and words[0] != "GET":
+            return self._send(_error(400, "invalid_request_line"))
+        method, target = words[0], words[1]
+        if target.startswith("//"):  # no scheme-relative redirect target
+            target = "/" + target.lstrip("/")
 
-    def _respond(self) -> None:
-        length = self._body_length()
-        if isinstance(length, Response):
-            return self._refuse(length)
+        headers, lengths, options, ambiguous = {}, [], set(), False
+        for _ in range(100):  # header lines, at most
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                return self._send(_error(431, "header_line_too_long"))
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                return False  # the request ends inside its headers
+            field = _FIELD_LINE.fullmatch(line)
+            if field is None:
+                ambiguous = True
+                continue
+            name = field[1].decode().lower()
+            value = field[2].strip(b" \t").decode("latin-1")
+            if name == "content-length":
+                lengths.append(value)
+            elif name == "connection":  # a token list, RFC 9110 §7.6.1
+                options.update(o.strip(" \t") for o in value.lower().split(","))
+            elif name == TOKEN_HEADER and headers.get(name, value) != value:
+                ambiguous = True  # two different credentials
+            headers[name] = value
+        else:
+            return self._send(_error(431, "too_many_header_lines"))
+
+        if method not in _METHODS:
+            return self._send(_error(501, "method_not_implemented"),
+                              with_body=method != "HEAD")
+        # The body of a request refused on its headers may still be in the
+        # socket, so such a reply closes the connection.
+        if ambiguous:
+            return self._send(_error(400, "invalid_header"))
+        if "transfer-encoding" in headers:
+            return self._send(_error(501, "transfer_encoding_unsupported"))
+        # Differing values would leave the socket at no request boundary.
+        unique = set(lengths) or {"0"}
+        length = _decimal(unique.pop()) if len(unique) == 1 else None
+        if length is None:
+            return self._send(_error(400, "invalid_content_length"))
+        if length > MAX_BODY_BYTES:
+            return self._send(_error(413, "body_too_large"))
+        if version >= (1, 1) and headers.get("expect", "").lower() == "100-continue":
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
             body = self.rfile.read(length)
         except TimeoutError:
-            return self._refuse(_error(408, "body_timeout"))
-        self._send(self.service.handle_request(
-            self.command, self.path, dict(self.headers.items()), body))
+            return self._send(_error(408, "body_timeout"))
+        if len(body) < length:
+            return False  # the request ends inside its body
+        keep = "close" not in options and (
+            version >= (1, 1) or version == (1, 0) and "keep-alive" in options)
+        return self._send(self.service.handle_request(method, target, headers, body),
+                          keep)
 
-    do_GET = do_POST = do_PUT = do_DELETE = _respond
-
-    def _refuse(self, response: Response) -> None:
-        # The body, or part of it, may still be in the socket.
-        self.close_connection = True
-        self._send(response)
-
-    def _send(self, response: Response) -> None:
+    def _send(self, response: Response, keep: bool = False,
+              with_body: bool = True) -> bool:
+        """Send ``response`` in one write; return ``keep``."""
         payload = response.payload()
-        self.send_response(response.status)
-        if payload:
-            self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        # Said either way: an HTTP/1.0 client keeps a connection only when told.
-        self.send_header("Connection",
-                         "close" if self.close_connection else "keep-alive")
-        # One write per reply: the body joins the buffered status and headers.
-        self._headers_buffer.append(b"\r\n" + payload)
-        self.flush_headers()
+        content_type = "Content-Type: application/json\r\n" if payload else ""
+        # Connection is said either way: an HTTP/1.0 client keeps a
+        # connection only when told.
+        head = (f"{_STATUS_LINES[response.status]}Date: {_http_date()}\r\n"
+                f"{content_type}Content-Length: {len(payload)}\r\n"
+                f"Connection: {'keep-alive' if keep else 'close'}\r\n\r\n")
+        self.request.sendall(head.encode("latin-1") + (payload if with_body else b""))
+        return keep
 
-    def _body_length(self) -> int | Response:
-        """The request body's length, or the reply that refuses the request
-        on its headers alone."""
-        # The last line read ends the header block.
-        if not all(map(_FIELD_LINE.fullmatch, self.header_lines[:-1])):
-            return _error(400, "invalid_header")
-        if self.headers.get("Transfer-Encoding") is not None:
-            return _error(501, "transfer_encoding_unsupported")
-        # Differing values would leave the socket at no request boundary.
-        lengths = {value.strip() for value
-                   in self.headers.get_all("Content-Length", ["0"])}
-        length = _decimal(lengths.pop()) if len(lengths) == 1 else None
-        if length is None:
-            return _error(400, "invalid_content_length")
-        if length > MAX_BODY_BYTES:
-            return _error(413, "body_too_large")
-        return length
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        logger.debug("%s - %s", self.address_string(), format % args)
+class _Server(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    allow_reuse_address = True
 
 
 def make_server(service: ReferenceService, host: str = "127.0.0.1",
-                port: int = 0) -> ThreadingHTTPServer:
+                port: int = 0) -> socketserver.ThreadingTCPServer:
     """Bind a threaded HTTP server; ``port=0`` picks an ephemeral port."""
     handler = type("BoundHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler)
+    return _Server((host, port), handler)
 
 
 def serve(config: ServiceConfig) -> None:

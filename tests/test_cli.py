@@ -260,14 +260,14 @@ class TestServeConfig:
 
     def test_serve_runs_until_interrupted_then_closes(self, tmp_path,
                                                      monkeypatch):
-        from http.server import ThreadingHTTPServer
+        import socketserver
 
         served = []
 
         def interrupt(server, *args, **kwargs):
             served.append(server.server_address)
             raise KeyboardInterrupt
-        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", interrupt)
+        monkeypatch.setattr(socketserver.BaseServer, "serve_forever", interrupt)
         key = tmp_path / "key"
         key.write_bytes(b"k")
         config = tmp_path / "service.yaml"

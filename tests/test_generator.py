@@ -370,6 +370,23 @@ class TestStubReader:
                            match=r"1 marker\(s\) for 0 handler\(s\)"):
             recover_document(manifest_text, [("handlers/x.stub", text)])
 
+    @pytest.mark.parametrize("manifest_text", [None, X_MANIFEST],
+                             ids=["no_manifest", "manifest"])
+    def test_a_route_header_keeps_no_trailing_whitespace(self, manifest_text):
+        # A hand-edited header: the path ends at its last visible character.
+        text = f"# route: /x \t\n{X_BODY.marker('/x')}\ndef handle_get(request):\n"
+        recovered = recover_document(manifest_text, [("handlers/x.stub", text)])
+        assert set(recovered.paths) == {"/x"}
+        assert ess_facts(recovered) == {"/x": X_BODY.marker("/x")}
+
+    @pytest.mark.parametrize("spelling", ['"/x\\/y"', '"\\u002fx/y"'])
+    def test_markers_that_spell_one_path_two_ways_agree(self, spelling):
+        other = X_BODY.marker("/x/y").replace('"/x/y"', spelling)
+        text = (f"# route: /x/y\n{X_BODY.marker('/x/y')}\ndef handle_get(request):\n"
+                f"{other}\ndef handle_put(request):\n")
+        recovered = recover_document(None, [("handlers/x_y.stub", text)])
+        assert ess_facts(recovered) == {"/x/y": X_BODY.marker("/x/y")}
+
     def test_a_header_only_file_recovers_a_path_without_operations(self):
         recovered = recover_document(None, [("handlers/x.stub", "# route: /x\n")])
         assert set(recovered.paths) == {"/x"}
@@ -450,6 +467,17 @@ class TestRoundTrip:
             out = tmp_path / name
             spec_to_stub(fixture_doc(name), out)
             assert validate(stub_to_spec(out)) == []
+
+    # The marker writes the path as a JSON string literal, and the route
+    # header holds it to the end of its line.
+    @pytest.mark.parametrize("path", ["/a b", '/a"b', "/a\\b", "/a\tb",
+                                      "/p\u00e9t"])
+    def test_a_bound_path_that_validates_round_trips(self, path, tmp_path):
+        doc = document_from_manifest(StubManifest((_bound(path),)))
+        assert validate(doc) == []
+        assert roundtrip_check(doc)
+        spec_to_stub(doc, tmp_path)
+        assert stub_matches_spec(doc, tmp_path)
 
 
 def _bound(path: str) -> RouteSpec:

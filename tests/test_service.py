@@ -1,7 +1,13 @@
+import http.client
+import io
 import json
 import logging
+import os
 import random
 import socket
+import string
+import struct
+import subprocess
 import sys
 import threading
 import time
@@ -9,6 +15,7 @@ from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bola_guard import (
     AclStore,
@@ -22,7 +29,13 @@ from bola_guard import (
     default_rule_set,
     issue_token,
 )
-from bola_guard.service import IDLE_TIMEOUT_S, MAX_BODY_BYTES, make_server
+from bola_guard.service import (
+    IDLE_TIMEOUT_S,
+    MAX_BODY_BYTES,
+    TOKEN_HEADER,
+    Response,
+    make_server,
+)
 
 KEY = b"service-test-key"
 NOW = 1_700_000_000.0
@@ -611,19 +624,24 @@ class TestConfig:
 
 
 @pytest.fixture
-def http_port(tmp_path):
+def http_server(tmp_path):
     service = build_service(tmp_path)
     server = make_server(service)
     # A short poll interval keeps shutdown at teardown quick.
     thread = threading.Thread(target=server.serve_forever, args=(0.05,),
                               daemon=True)
     thread.start()
-    yield server.server_address[1]
+    yield server
     server.shutdown()
     server.server_close()
     service.close()
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def http_port(http_server):
+    return http_server.server_address[1]
 
 
 class RawConnection:
@@ -846,3 +864,306 @@ class TestHttpBoundary:
         fresh = connect()
         fresh.send(probe)
         assert fresh.reply()[0] == 200
+
+    @pytest.mark.parametrize("head, status, reason", [
+        ("GET /" + "a" * 65536 + " HTTP/1.1", 414, "request_line_too_long"),
+        ("GET /pet HTTP/1.1\r\nX-Note: " + "a" * 65536, 431,
+         "header_line_too_long"),
+        ("GET /pet HTTP/1.1" + "\r\nX-Note: a" * 100, 431, "too_many_header_lines"),
+        ("GET /pet HTTP/1.x", 400, "invalid_version"),
+        ("GET /pet HTTP/1", 400, "invalid_version"),
+        ("GET /a b HTTP/1.1", 400, "invalid_request_line"),
+        ("GET", 400, "invalid_request_line"),
+        ("POST /pet", 400, "invalid_request_line"),
+        ("GET /pet HTTP/2.0", 505, "version_not_supported"),
+        ("PATCH /pet HTTP/1.1", 501, "method_not_implemented"),
+        ("get /pet HTTP/1.1", 501, "method_not_implemented"),
+    ], ids=["long-request-line", "long-header-line", "100-header-lines",
+            "bad-version", "version-without-minor", "four-words", "one-word",
+            "http-0.9-post", "http-2", "patch", "lower-case-get"])
+    def test_a_request_the_adapter_does_not_take_is_refused_then_eof(
+            self, connect, head, status, reason):
+        assert self._refused(connect(), head, b"", status) == \
+            {"code": status, "reason": reason}
+
+    def test_ninety_nine_header_lines_are_read(self, connect):
+        conn = connect()
+        conn.send(f"GET /pet HTTP/1.1\r\napi_key: {token('9', {'G22'})}"
+                  + "\r\nX-Note: a" * 98)
+        assert conn.reply()[0] == 200
+
+    def test_a_head_request_is_501_without_a_body(self, connect):
+        conn = connect()
+        conn.send("HEAD /pet HTTP/1.1\r\nHost: x")
+        status, headers, body = conn.reply()
+        assert (status, body) == (501, b"")
+        assert int(headers["content-length"]) > 0
+        assert headers["connection"] == "close"
+        assert conn.rest() == b""
+
+    @pytest.mark.parametrize("first, second", [("garbage", "valid"),
+                                               ("valid", "garbage")])
+    def test_differing_duplicate_api_keys_are_400_then_eof(self, connect,
+                                                           first, second):
+        # Were either header believed, the order of the two would decide.
+        tokens = {"garbage": "garbage", "valid": token("9", {"G22"})}
+        head = (f"GET /pet HTTP/1.1\r\nHost: x\r\napi_key: {tokens[first]}"
+                f"\r\nApi_Key: {tokens[second]}")
+        assert self._refused(connect(), head, b"", 400) == \
+            {"code": 400, "reason": "invalid_header"}
+
+    def test_identical_duplicate_api_keys_count_as_one(self, connect):
+        tok = token("9", {"G22"})
+        conn = connect()
+        conn.send(f"GET /pet HTTP/1.1\r\napi_key: {tok}\r\nAPI_KEY:  {tok} ")
+        assert conn.reply()[0] == 200
+
+    @pytest.mark.parametrize("request_line, header, connection", [
+        ("GET /pet HTTP/1.1", "Connection: close, te", "close"),
+        ("GET /pet HTTP/1.1", "Connection: TE,\tClose", "close"),
+        ("GET /pet HTTP/1.1", "Connection: te\r\nConnection: close", "close"),
+        ("GET /pet HTTP/1.0", "Connection: te, Keep-Alive", "keep-alive"),
+    ])
+    def test_connection_is_read_as_a_token_list(self, connect, request_line,
+                                                header, connection):
+        conn = connect()
+        head = f"{request_line}\r\n{header}\r\napi_key: {token('9', {'G22'})}"
+        conn.send(head)
+        status, headers, _ = conn.reply()
+        assert (status, headers["connection"]) == (200, connection)
+        if connection == "close":
+            assert conn.rest() == b""
+        else:
+            conn.send(head)
+            assert conn.reply()[0] == 200
+
+    @pytest.mark.parametrize("value, status", [
+        ("a" + " " * 60000 + "\rZ", 400),
+        (" " * 60000 + "\rZ", 400),
+        ("a" + " " * 60000 + "b", 200),
+    ], ids=["bare-cr", "leading-run-bare-cr", "well-formed"])
+    def test_a_long_whitespace_run_in_a_value_is_read_in_linear_time(
+            self, connect, value, status):
+        # A regex that pads a lazy value group backtracks cubically here,
+        # holding the GIL: one request would stall every connection.
+        conn = connect()
+        started = time.monotonic()
+        conn.send(f"GET /pet HTTP/1.1\r\napi_key: {token('9', {'G22'})}\r\n"
+                  f"X-Note: {value}")
+        assert conn.reply()[0] == status
+        assert time.monotonic() - started < IDLE_TIMEOUT_S / 2
+
+    def test_a_leading_double_slash_collapses(self, connect):
+        conn = connect()
+        conn.send(f"GET ///pet HTTP/1.1\r\napi_key: {token('9', {'G22'})}")
+        status, _, reply = conn.reply()
+        assert (status, json.loads(reply)) == (200, [])
+
+    @pytest.mark.parametrize("sent", [
+        b"\r\n",
+        b"GET /pet HTTP/1.1\r\nHost: x\r\n",
+        (create_head(10) + "\r\n\r\n{}").encode(),
+    ], ids=["blank-request-line", "inside-the-headers", "inside-the-body"])
+    def test_a_request_cut_short_is_closed_without_a_reply(self, connect, sent):
+        conn = connect()
+        conn.sock.sendall(sent)
+        conn.sock.shutdown(socket.SHUT_WR)
+        assert conn.rest() == b""
+
+    @pytest.mark.parametrize("sent", [
+        b"POST /pet HTTP/1.1\r\nHost: x\r\n",
+        (create_head(1000) + "\r\n\r\n{").encode(),
+    ], ids=["inside-the-headers", "inside-the-body"])
+    def test_a_client_that_resets_is_dropped_without_a_traceback(
+            self, http_server, connect, monkeypatch, sent):
+        errors, closed = [], threading.Semaphore(0)
+        shutdown_request = http_server.shutdown_request
+
+        def shutdown(request):
+            shutdown_request(request)
+            closed.release()
+        monkeypatch.setattr(http_server, "handle_error",
+                            lambda request, address: errors.append(sys.exc_info()))
+        monkeypatch.setattr(http_server, "shutdown_request", shutdown)
+        with socket.create_connection(http_server.server_address, timeout=5) as sock:
+            sock.sendall(sent)
+            time.sleep(0.1)  # the server now waits for the rest
+            # Linger 0: close sends a reset, not a FIN.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+        assert closed.acquire(timeout=5)
+        assert errors == []
+        probe = connect()
+        probe.send(f"GET /pet HTTP/1.1\r\napi_key: {token('9', {'G22'})}")
+        assert probe.reply()[0] == 200
+
+
+# ---------------------------------------------------------------------------
+# Generated requests at the socket
+
+TCHARS = "!#$%&'*+-.^_`|~" + string.digits + string.ascii_letters
+PCHARS = string.ascii_letters + string.digits + "-._~!$&'()*+,;=:@%"
+# Visible ASCII and obs-text, less U+0085, at which the stdlib's email
+# parser (str.splitlines) splits a line.
+VCHARS = "".join(map(chr, [*range(0x21, 0x7F), *range(0x80, 0x85),
+                           *range(0x86, 0x100)]))
+# The replies the adapter and the service give; a 500 is a fault.
+DOCUMENTED = {100, 200, 201, 204, 400, 401, 403, 404, 405, 408, 413, 414,
+              431, 501, 505}
+SHARED_SERVER = settings(derandomize=True, deadline=None, suppress_health_check=[
+    HealthCheck.function_scoped_fixture])  # one server serves every example
+
+
+def exchange(port: int, raw: bytes) -> bytes:
+    """Send ``raw``, end the sending side, and return all that comes back
+    before the server closes the connection."""
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=IDLE_TIMEOUT_S + 1) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # a close that leaves request bytes unread is a reset
+    return b"".join(chunks)
+
+
+def replies(data: bytes) -> list[tuple[int, bytes]]:
+    """The (status, body) of each reply in ``data``; a reply cut short is
+    kept with the body bytes that arrived."""
+    found = []
+    while data:
+        head, blank, data = data.partition(b"\r\n\r\n")
+        assert blank, head
+        status_line, *fields = head.split(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 "), status_line
+        length = dict(f.lower().split(b": ", 1) for f in fields).get(
+            b"content-length", b"0")
+        body, data = data[:int(length)], data[int(length):]
+        found.append((int(status_line.split()[1]), body))
+    return found
+
+
+@st.composite
+def well_formed_requests(draw):
+    """A request with fields of any token name but the four the adapter
+    reads itself: (its bytes, its request line and header block)."""
+    method = draw(st.sampled_from(["GET", "POST", "PUT", "DELETE"]))
+    segments = draw(st.lists(st.text(PCHARS, min_size=1, max_size=8), max_size=4))
+    target = "/" + "/".join(segments)
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    name = st.text(TCHARS, min_size=1, max_size=10).filter(
+        lambda n: n.lower() not in
+        {"content-length", "transfer-encoding", "expect", TOKEN_HEADER})
+    value = st.text(VCHARS + " \t", max_size=20).map(lambda v: v.strip(" \t"))
+    fields = draw(st.lists(st.tuples(name, value), max_size=8))
+    body = draw(st.binary(max_size=40))
+    if body or draw(st.booleans()):
+        fields.insert(draw(st.integers(0, len(fields))),
+                      ("Content-Length", str(len(body))))
+    ows, eol = st.sampled_from(["", " ", "\t", " \t "]), st.sampled_from(["\r\n", "\n"])
+    head = (f"{method} {target} {version}\r\n" + "".join(
+        f"{n}:{draw(ows)}{v}{draw(ows)}{draw(eol)}" for n, v in fields) + "\r\n")
+    return head.encode("latin-1") + body, head.encode("latin-1")
+
+
+MUTATED_FIELDS = [
+    b"Content-Length: 3", b"Content-Length: 99", b"Content-Length: -1",
+    b"Content-Length: +17", b"Content-Length: 0x11", b"Content-Length: 17, 17",
+    b"Content-Length: \xd9\xa5", b"Content-Length: " + b"1" * 30,
+    b"Transfer-Encoding: chunked", b"transfer-encoding:identity",
+    b"Transfer-Encoding : chunked", b"Expect: 100-continue", b"api_key: garbage",
+    b"Connection: close, te", b" folded", b"X-Note", b"X-Note: a\rb",
+    b"X-Note: \xff\xfe",
+]
+
+
+@st.composite
+def mutated_requests(draw):
+    """A valid create, then some of: fields added, duplicated or dropped,
+    and bytes cut, inserted or replaced."""
+    body = b'{"name": "lucky"}'
+    lines = [b"POST /pet HTTP/1.1", b"Host: x",
+             f"api_key: {token('123', {'G21'})}".encode(),
+             b"Content-Length: %d" % len(body)]
+    for _ in range(draw(st.integers(0, 3))):
+        if len(lines) > 1 and draw(st.booleans()):
+            del lines[draw(st.integers(1, len(lines) - 1))]
+        else:
+            lines.insert(draw(st.integers(1, len(lines))),
+                         draw(st.sampled_from(MUTATED_FIELDS + lines[1:])))
+    raw = b"\r\n".join(lines) + b"\r\n\r\n" + body
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(raw)))
+        edit = draw(st.sampled_from(["cut", "insert", "replace", "bare-lf",
+                                     "bare-cr"]))
+        if edit == "cut":
+            raw = raw[:at]
+        elif edit in ("bare-lf", "bare-cr"):
+            end = raw.find(b"\r\n", at)
+            lone = b"\n" if edit == "bare-lf" else b"\r"
+            raw = raw if end < 0 else raw[:end] + lone + raw[end + 2:]
+        else:
+            byte = bytes([draw(st.integers(0, 255))])
+            raw = raw[:at] + byte + raw[at + (edit == "replace"):]
+    return raw
+
+
+class TestGeneratedRequests:
+    @settings(SHARED_SERVER, max_examples=150)
+    @given(well_formed_requests())
+    def test_the_adapter_reads_what_the_stdlib_reads(self, http_server,
+                                                     monkeypatch, generated):
+        raw, head = generated
+        calls = []
+
+        def record(method, url, headers, body):
+            calls.append((method, url, headers, body))
+            return Response(200, [])
+        monkeypatch.setattr(http_server.RequestHandlerClass.service,
+                            "handle_request", record)
+        assert [status for status, _ in
+                replies(exchange(http_server.server_address[1], raw))] == [200]
+
+        request_line, _, block = head.partition(b"\r\n")
+        method, target, _ = request_line.decode("latin-1").split()
+        message = http.client.parse_headers(io.BytesIO(block))
+        # RFC 9112 §5 drops the whitespace after a value; the stdlib keeps it.
+        headers = {name.lower(): value.rstrip(" \t")
+                   for name, value in message.items()}
+        body = raw[len(head):][:int(message.get("Content-Length", 0))]
+        assert calls == [(method, target, headers, body)]
+
+    @settings(SHARED_SERVER, max_examples=250)
+    @given(mutated_requests())
+    def test_mutated_bytes_get_a_documented_reply_or_a_close(
+            self, http_server, monkeypatch, raw):
+        errors = []
+        monkeypatch.setattr(http_server, "handle_error",
+                            lambda request, address: errors.append(sys.exc_info()))
+        port = http_server.server_address[1]
+        started = time.monotonic()
+        answered = replies(exchange(port, raw))
+        assert time.monotonic() - started < IDLE_TIMEOUT_S + 0.5
+        for status, body in answered:
+            assert status in DOCUMENTED
+            if status >= 400 and body:
+                assert json.loads(body)["code"] == status
+        probe = (f"GET /pet HTTP/1.1\r\napi_key: {token('123', {'G21'})}\r\n"
+                 f"\r\n").encode()
+        [(status, body)] = replies(exchange(port, probe))
+        assert status == 200 and isinstance(json.loads(body), list)
+        assert errors == []
+
+
+def test_the_package_loads_no_stdlib_http_server_client_or_email():
+    import bola_guard
+
+    code = ("import sys, bola_guard; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'email' or m in ('http.server', 'http.client')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(bola_guard.__file__).parents[1])}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert loaded == "[]\n"

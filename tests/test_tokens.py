@@ -166,6 +166,12 @@ class TestClaimTypes:
         with pytest.raises(TokenInvalid, match="not ASCII"):
             verify_token(f"{header}.\u00e9t\u00e9.{signature}", KEY, now=NOW)
 
+    def test_a_signature_that_is_not_ascii_is_rejected(self):
+        # hmac.compare_digest raises TypeError on a non-ASCII str.
+        header, claims, signature = signed(self.CLAIMS).split(".")
+        with pytest.raises(TokenInvalid, match="not ASCII"):
+            verify_token(f"{header}.{claims}.\x80{signature[1:]}", KEY, now=NOW)
+
 
 class TestFiniteLifetime:
     @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), -float("inf"),
