@@ -28,11 +28,8 @@ from .errors import (
 from .model import (
     EssDocument,
     ObjectAuthBinding,
-    ObjectSchema,
     PathItem,
     Placement,
-    ScopeClaims,
-    ScopeSet,
     SchemeKind,
     SecurityScheme,
     emit_document,
@@ -84,14 +81,11 @@ __all__ = [
     "NoSuchObjectError",
     "NotOwnerError",
     "ObjectAuthBinding",
-    "ObjectSchema",
     "ObjectStore",
     "PathItem",
     "Placement",
     "ReferenceService",
     "RuleSetError",
-    "ScopeClaims",
-    "ScopeSet",
     "SchemeKind",
     "SecurityScheme",
     "ServiceConfig",

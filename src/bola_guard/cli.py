@@ -258,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError, DocumentSyntaxError, StructureError) as exc:
+    except (OSError, UnicodeError, DocumentSyntaxError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except BolaGuardError as exc:

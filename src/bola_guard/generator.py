@@ -61,7 +61,6 @@ from .model import (
     EssDocument,
     ObjectAuthBinding,
     build_document,
-    resolved_claims,
     scheme_for_ref,
     _escape_pointer,
     _unescape_pointer,
@@ -185,8 +184,7 @@ def manifest_from_document(doc: EssDocument) -> StubManifest:
     for path in sorted(doc.paths):
         item = doc.paths[path]
         methods = tuple(sorted(item.operations, key=VERB_ORDER.index))
-        binding = doc.path_binding(path)
-        attachment = None if binding is None else _wiring(doc, binding)
+        attachment = None if item.binding is None else _wiring(doc, item.binding)
         routes.append(RouteSpec(path=path, methods=methods, object_auth=attachment))
     return StubManifest(tuple(routes))
 
@@ -206,15 +204,13 @@ def _wiring(doc: EssDocument, binding: ObjectAuthBinding) -> ObjectAuthAttachmen
     else:
         scheme_name = CANON_SCHEME_NAME
         location = None if binding.token is None else binding.token.location
-    claims = resolved_claims(doc, binding)
-    object_id_property = ("id" if binding.object_id_ref is None
-                          else _last_segment(binding.object_id_ref))
+    ref = binding.object_id_ref
     return ObjectAuthAttachment(
         scheme_name=scheme_name,
         token_location="header" if location in (None, "header") else "body",
-        groups_claim=claims.groups,
-        user_id_claim=claims.user_id,
-        object_id_property=object_id_property,
+        groups_claim=binding.groups,
+        user_id_claim=binding.user_id,
+        object_id_property=_last_segment(ref) if isinstance(ref, str) else "id",
     )
 
 
@@ -493,9 +489,9 @@ def _ensure_scheme(schemes: dict, auth: ObjectAuthAttachment) -> str:
 def ess_facts(doc: EssDocument) -> dict[str, str | None]:
     """Authorization facts preserved by a round trip: per path, the marker
     line of its wiring, or None when it is unbound."""
-    bindings = {path: doc.path_binding(path) for path in doc.paths}
-    return {path: None if binding is None else _wiring(doc, binding).marker(path)
-            for path, binding in bindings.items()}
+    return {path: None if item.binding is None
+            else _wiring(doc, item.binding).marker(path)
+            for path, item in doc.paths.items()}
 
 
 def stub_matches_spec(doc: EssDocument, stub_dir: str | Path) -> bool:

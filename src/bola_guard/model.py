@@ -104,20 +104,6 @@ class SecurityScheme:
 
 
 @dataclass(frozen=True)
-class ScopeClaims:
-    """Type descriptors a scope declares for the token's group and user-id claims."""
-
-    groups: str | None = None
-    user_id: str | None = None
-
-
-@dataclass(frozen=True)
-class ScopeSet:
-    entries: Mapping[Action, ScopeClaims]
-    invalid_keys: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class TokenHint:
     """Inline token block of a method-level binding."""
 
@@ -133,8 +119,11 @@ class ObjectAuthBinding:
     object_id_ref: str | None
     scheme_ref: str | None
     token: TokenHint | None
-    scopes: ScopeSet
-    groups_ref: str | None = None   # root-level scopes.groups / scopes.user_id refs
+    actions: tuple[Action, ...]     # the CRUD actions its scopes name, in order
+    invalid_scope_keys: tuple[str, ...]
+    groups: str | None              # the claims' type descriptors, resolved
+    user_id: str | None
+    groups_ref: str | None = None   # scopes.groups / scopes.user_id refs
     user_id_ref: str | None = None
 
     def structural_key(self) -> str:
@@ -144,7 +133,7 @@ class ObjectAuthBinding:
             "scheme": self.scheme_ref,
             "token": None if self.token is None else
                      [self.token.type, self.token.name, self.token.location],
-            "scopes": sorted(a.value for a in self.scopes.entries),
+            "scopes": sorted(a.value for a in self.actions),
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -154,17 +143,9 @@ class PathItem:
     path: str
     operations: Mapping[str, Any]           # verb -> opaque operation node
     x_objects_ref: str | None
-    bound_schema: str | None                 # schema whose x-objectAuth the ref targets
     method_bindings: Mapping[str, ObjectAuthBinding]  # verb -> binding
-
-    @property
-    def methods(self) -> tuple[str, ...]:
-        return tuple(self.operations)
-
-
-@dataclass(frozen=True)
-class ObjectSchema:
-    name: str
+    # The path's effective binding: the schema binding x-objects targets,
+    # else the first method-level one.
     binding: ObjectAuthBinding | None
 
 
@@ -174,35 +155,20 @@ class EssDocument:
 
     paths: dict[str, PathItem]
     security_schemes: dict[str, SecurityScheme]
-    schemas: dict[str, ObjectSchema]
+    schemas: dict[str, ObjectAuthBinding]   # bound schema name -> its binding
     raw: dict = field(repr=False)
 
     def bindings(self) -> list[ObjectAuthBinding]:
         """All bindings in document order: schemas first, then per-operation ones."""
-        found = [s.binding for s in self.schemas.values() if s.binding is not None]
+        found = list(self.schemas.values())
         for item in self.paths.values():
             found.extend(item.method_bindings.values())
         return found
 
-    def path_binding(self, path: str) -> ObjectAuthBinding | None:
-        """Effective binding of a path: the x-objects target, else the first method one."""
-        item = self.paths[path]
-        if item.bound_schema is not None:
-            schema = self.schemas.get(item.bound_schema)
-            if schema is not None and schema.binding is not None:
-                return schema.binding
-        for verb in item.operations:
-            if verb in item.method_bindings:
-                return item.method_bindings[verb]
-        return None
-
-    def canonical_tree(self) -> dict:
-        return canonicalize_tree(self.raw)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EssDocument):
             return NotImplemented
-        return self.canonical_tree() == other.canonical_tree()
+        return canonicalize_tree(self.raw) == canonicalize_tree(other.raw)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +182,8 @@ def resolve_ref(doc: EssDocument, ref: str, base: str | None = None) -> Any:
     leading ``#``) is resolved from ``base``, itself a ``#/``-rooted pointer
     (method-level bindings use this for their object refs). If the addressed
     node is itself a ``{"$ref": ...}`` wrapper the chain is followed;
-    revisiting a node raises :class:`CyclicRefError`.
+    revisiting a node raises :class:`CyclicRefError`, and a reference that
+    is not a string :class:`DanglingRefError`.
     """
     return _resolve(doc.raw, ref, base)
 
@@ -226,6 +193,8 @@ def _resolve(root: Mapping[str, Any], ref: str, base: str | None = None) -> Any:
     current = ref
     current_base = base
     while True:
+        if not isinstance(current, str):
+            raise DanglingRefError(current)
         normalized = _absolute_pointer(current, current_base)
         if normalized in seen:
             raise CyclicRefError(current)
@@ -373,8 +342,8 @@ def build_document(tree: dict) -> EssDocument:
         raise StructureError("'components' must be a mapping")
 
     schemes = _parse_security_schemes(components.get("securitySchemes") or {})
-    schemas = _parse_schemas(components.get("schemas") or {})
-    paths = _parse_paths(tree, schemas)
+    schemas, by_node = _parse_schemas(tree, components.get("schemas") or {})
+    paths = _parse_paths(tree, by_node)
     return EssDocument(paths=paths, security_schemes=schemes, schemas=schemas, raw=tree)
 
 
@@ -417,22 +386,26 @@ def _descriptor(node: Any) -> str | None:
     return str(node)
 
 
-def _parse_schemas(node: Any) -> dict[str, ObjectSchema]:
+def _parse_schemas(tree: dict, node: Any) -> tuple[dict[str, ObjectAuthBinding],
+                                                   dict[int, ObjectAuthBinding]]:
+    """Each bound schema's binding by schema name, and by the ``id`` of its
+    x-objectAuth node (the first schema's, when an alias shares the node)."""
     if not isinstance(node, dict):
         raise StructureError("'components.schemas' must be a mapping")
-    schemas: dict[str, ObjectSchema] = {}
+    schemas: dict[str, ObjectAuthBinding] = {}
+    by_node: dict[int, ObjectAuthBinding] = {}
     for name, body in node.items():
-        binding = None
-        if isinstance(body, dict):
-            auth_key = _find_key(body, _KEY_OBJECT_AUTH)
-            if auth_key is not None:
-                context = f"#/components/schemas/{_escape_pointer(name)}/{auth_key}"
-                binding = _parse_binding(body[auth_key], context, Placement.ROOT_LEVEL)
-        schemas[name] = ObjectSchema(name=name, binding=binding)
-    return schemas
+        auth_key = _find_key(body, _KEY_OBJECT_AUTH) if isinstance(body, dict) else None
+        if auth_key is not None:
+            context = f"#/components/schemas/{_escape_pointer(name)}/{auth_key}"
+            schemas[name] = _parse_binding(tree, body[auth_key], context,
+                                           Placement.ROOT_LEVEL)
+            by_node.setdefault(id(body[auth_key]), schemas[name])
+    return schemas, by_node
 
 
-def _parse_paths(tree: dict, schemas: dict[str, ObjectSchema]) -> dict[str, PathItem]:
+def _parse_paths(tree: dict, by_node: dict[int, ObjectAuthBinding]
+                 ) -> dict[str, PathItem]:
     node = tree.get("paths") or {}
     if not isinstance(node, dict):
         raise StructureError("'paths' must be a mapping")
@@ -452,10 +425,10 @@ def _parse_paths(tree: dict, schemas: dict[str, ObjectSchema]) -> dict[str, Path
             if auth_key is not None:
                 context = f"{pointer_for_path(path)}/{verb}/{auth_key}"
                 method_bindings[verb] = _parse_binding(
-                    op[auth_key], context, Placement.METHOD_LEVEL)
+                    tree, op[auth_key], context, Placement.METHOD_LEVEL)
 
         x_objects_ref = None
-        bound_schema = None
+        binding = next(iter(method_bindings.values()), None)
         objects_key = _find_key(body, _KEY_OBJECTS)
         if objects_key is not None:
             ref_node = body[objects_key]
@@ -468,31 +441,19 @@ def _parse_paths(tree: dict, schemas: dict[str, ObjectSchema]) -> dict[str, Path
                     f"{path}: '{objects_key}' must be a $ref to a schema's "
                     f"object-authorization node")
             # Fail fast: a path cannot be linked to its binding if this dangles.
-            target = _resolve(tree, x_objects_ref)
-            bound_schema = _schema_of_binding_node(tree, target)
+            binding = by_node.get(id(_resolve(tree, x_objects_ref)), binding)
         paths[path] = PathItem(
             path=path,
             operations=operations,
             x_objects_ref=x_objects_ref,
-            bound_schema=bound_schema,
             method_bindings=method_bindings,
+            binding=binding,
         )
     return paths
 
 
-def _schema_of_binding_node(tree: dict, target: Any) -> str | None:
-    """Find which schema's x-objectAuth node ``target`` is (identity match)."""
-    components = tree.get("components") or {}
-    for name, body in (components.get("schemas") or {}).items():
-        if not isinstance(body, dict):
-            continue
-        auth_key = _find_key(body, _KEY_OBJECT_AUTH)
-        if auth_key is not None and body[auth_key] is target:
-            return name
-    return None
-
-
-def _parse_binding(node: Any, context: str, placement: Placement) -> ObjectAuthBinding:
+def _parse_binding(tree: dict, node: Any, context: str,
+                   placement: Placement) -> ObjectAuthBinding:
     if not isinstance(node, dict):
         raise StructureError(f"{context}: binding must be a mapping")
 
@@ -518,60 +479,64 @@ def _parse_binding(node: Any, context: str, placement: Placement) -> ObjectAuthB
             location=token_node.get("in"),
         )
 
-    scopes, groups_ref, user_id_ref = _parse_scopes(node.get("scopes"))
+    scopes = node.get("scopes")
+    if not isinstance(scopes, dict):
+        scopes = {}
+    bodies, invalid = _scope_bodies(scopes)
+    groups_ref = _ref_of(scopes.get("groups"))
+    user_id_ref = _ref_of(scopes.get("user_id"))
     return ObjectAuthBinding(
         context=context,
         placement=placement,
         object_id_ref=object_id_ref,
         scheme_ref=scheme_ref,
         token=token,
-        scopes=scopes,
+        actions=tuple(bodies),
+        invalid_scope_keys=tuple(invalid),
+        groups=_claim(tree, bodies.values(), "groups", groups_ref),
+        user_id=_claim(tree, bodies.values(), "user_id", user_id_ref),
         groups_ref=groups_ref,
         user_id_ref=user_id_ref,
     )
 
 
-def _parse_scopes(node: Any) -> tuple[ScopeSet, str | None, str | None]:
-    """Parse either scope shape.
+def _scope_bodies(node: dict) -> tuple[dict[Action, dict], list[str]]:
+    """The body that declares each CRUD action's claims, in the order the
+    actions first appear (a later key for the same action replaces an
+    earlier one's body), and the keys that name no action. Either shape:
 
     Root-level: ``{groups: .., user_id: .., methods: {verb: {description}}}``
     (claims shared across the actions listed under ``methods``).
     Method-level: ``{C: {groups: .., user_id: ..}, R: ..., U: ..., D: ...}``.
     """
-    if not isinstance(node, dict):
-        return ScopeSet(entries={}), None, None
-
-    groups_ref = _ref_of(node.get("groups"))
-    user_id_ref = _ref_of(node.get("user_id"))
-
-    entries: dict[Action, ScopeClaims] = {}
-    invalid: list[str] = []
     methods = node.get("methods")
     if isinstance(methods, dict):
-        shared_groups = _descriptor(node.get("groups"))
-        shared_user_id = _descriptor(node.get("user_id"))
-        for key in methods:
-            action = action_for_key(str(key))
-            if action is None:
-                invalid.append(str(key))
-                continue
-            entries[action] = ScopeClaims(groups=shared_groups, user_id=shared_user_id)
+        keyed = dict.fromkeys(methods, node)
     else:
-        for key, body in node.items():
-            if key in ("groups", "user_id"):
-                continue
-            action = action_for_key(str(key))
-            if action is None:
-                invalid.append(str(key))
-                continue
-            if isinstance(body, dict):
-                entries[action] = ScopeClaims(
-                    groups=_descriptor(body.get("groups")),
-                    user_id=_descriptor(body.get("user_id")),
-                )
-            else:
-                entries[action] = ScopeClaims()
-    return ScopeSet(entries=entries, invalid_keys=tuple(invalid)), groups_ref, user_id_ref
+        keyed = {key: body if isinstance(body, dict) else {}
+                 for key, body in node.items() if key not in ("groups", "user_id")}
+    bodies: dict[Action, dict] = {}
+    invalid: list[str] = []
+    for key, body in keyed.items():
+        action = action_for_key(str(key))
+        if action is None:
+            invalid.append(str(key))
+        else:
+            bodies[action] = body
+    return bodies, invalid
+
+
+def _claim(tree: dict, bodies, name: str, ref: Any) -> str | None:
+    """A claim's type descriptor: the first non-empty one the actions'
+    bodies declare under ``name``, else the one the scopes' ``$ref`` lands
+    on; None when that ref dangles (the validator reports it)."""
+    found = next(filter(None, (_descriptor(b.get(name)) for b in bodies)), None)
+    if found is None and ref is not None:
+        try:
+            found = _descriptor(_resolve(tree, ref))
+        except (DanglingRefError, CyclicRefError):
+            pass
+    return found
 
 
 def _ref_of(node: Any) -> str | None:
@@ -580,39 +545,13 @@ def _ref_of(node: Any) -> str | None:
     return None
 
 
-def resolved_claims(doc: EssDocument, binding: ObjectAuthBinding) -> ScopeClaims:
-    """Effective (groups, user_id) claim descriptors of a binding.
-
-    Direct per-scope declarations win; root-level ``$ref`` declarations are
-    chased into the scheme. Unresolvable refs yield ``None`` here; the
-    validator reports them.
-    """
-    groups = user_id = None
-    for claims in binding.scopes.entries.values():
-        groups = groups or claims.groups
-        user_id = user_id or claims.user_id
-    if groups is None and binding.groups_ref:
-        groups = _try_resolve_descriptor(doc, binding.groups_ref)
-    if user_id is None and binding.user_id_ref:
-        user_id = _try_resolve_descriptor(doc, binding.user_id_ref)
-    return ScopeClaims(groups=groups, user_id=user_id)
-
-
-def _try_resolve_descriptor(doc: EssDocument, ref: str) -> str | None:
-    try:
-        node = resolve_ref(doc, ref)
-    except (DanglingRefError, CyclicRefError):
-        return None
-    return _descriptor(node)
-
-
 # ---------------------------------------------------------------------------
 # Emission
 
 
 def emit_document(doc: EssDocument, format: str = "yaml") -> str:
     """Serialize the document; extension keys get their canonical spelling."""
-    tree = doc.canonical_tree()
+    tree = canonicalize_tree(doc.raw)
     if format == "json":
         return json.dumps(tree, indent=2) + "\n"
     if format == "yaml":

@@ -30,8 +30,9 @@ handlers never touch business state before an allowed decision; an observer
 hook exposes the event order so tests can assert it. The HTTP adapter reads
 and writes HTTP/1.1 itself (RFC 9112): one pass over the header lines checks
 each and builds the lower-cased headers, values unpadded, that
-``handle_request`` gets; each reply is one write; a connection stays open
-unless it is HTTP/0.9, HTTP/1.0 without ``keep-alive``, or its
+``handle_request`` gets, after at most one stray empty line (RFC 9112 §2.2);
+each reply is one write, a 204 without ``Content-Length``; a connection
+stays open unless it is HTTP/0.9, HTTP/1.0 without ``keep-alive``, or its
 ``Connection`` token list holds ``close``. A connection silent for
 :data:`IDLE_TIMEOUT_S` while a request line or headers are due, or that ends
 inside a request, closes without a reply. Refusals carry an :func:`_error`
@@ -40,9 +41,9 @@ body and close, as the body may still be in the socket: 414/431
 ``too_many_header_lines`` at 100; 400 ``invalid_version``, or
 ``invalid_request_line`` (not ``method target [version]``, or HTTP/0.9 not
 GET); 505 ``version_not_supported``; 501 ``method_not_implemented`` (no body
-for HEAD); 400 ``invalid_header`` for a line not ``name: value`` or differing
-``api_key`` repeats; 501 any ``Transfer-Encoding``; 400 a malformed or
-ambiguous ``Content-Length`` (RFC 9112 §6.3); 413 above
+for HEAD); 400 ``invalid_header`` for a line not ``name: value`` or
+differing ``api_key`` repeats; 501 any ``Transfer-Encoding``; 400 a
+malformed or ambiguous ``Content-Length`` (RFC 9112 §6.3); 413 above
 :data:`MAX_BODY_BYTES`, unread; 408 a body stalled for
 :data:`IDLE_TIMEOUT_S`. Only an HTTP/1.1 ``Expect: 100-continue`` that draws
 none of these is sent ``100 Continue``.
@@ -380,6 +381,8 @@ class _Handler(socketserver.StreamRequestHandler):
     def _exchange(self) -> bool:
         """Read one request and send its reply; True keeps the connection."""
         line = self.rfile.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):  # one stray empty line, RFC 9112 §2.2
+            line = self.rfile.readline(_MAX_LINE + 1)
         if len(line) > _MAX_LINE:
             return self._send(_error(414, "request_line_too_long"))
         words = line.decode("latin-1").split()
@@ -460,10 +463,13 @@ class _Handler(socketserver.StreamRequestHandler):
         """Send ``response`` in one write; return ``keep``."""
         payload = response.payload()
         content_type = "Content-Type: application/json\r\n" if payload else ""
+        # A 204 has no body and so no Content-Length (RFC 9110 §8.6).
+        length = "" if response.status == 204 else \
+            f"Content-Length: {len(payload)}\r\n"
         # Connection is said either way: an HTTP/1.0 client keeps a
         # connection only when told.
         head = (f"{_STATUS_LINES[response.status]}Date: {_http_date()}\r\n"
-                f"{content_type}Content-Length: {len(payload)}\r\n"
+                f"{content_type}{length}"
                 f"Connection: {'keep-alive' if keep else 'close'}\r\n\r\n")
         self.request.sendall(head.encode("latin-1") + (payload if with_body else b""))
         return keep

@@ -41,7 +41,8 @@ from .model import (
 ERROR = "error"
 WARNING = "warning"
 
-PRIMITIVE_TYPES = {"integer", "number", "string", "boolean"}
+# A tuple, so an unhashable ``type`` (a 3.1 list, a mapping) is simply not in it.
+PRIMITIVE_TYPES = ("integer", "number", "string", "boolean")
 
 CODES = (
     "E-SCHEME-KIND",
@@ -185,10 +186,10 @@ def _check_binding(doc: EssDocument, binding: ObjectAuthBinding) -> list[Finding
             findings.append(Finding(ERROR, "E-DANGLING-REF", context,
                                     f"claim reference {ref!r} resolves to nothing"))
 
-    for key in binding.scopes.invalid_keys:
+    for key in binding.invalid_scope_keys:
         findings.append(Finding(ERROR, "E-SCOPE-ACTION", context,
                                 f"scope key {key!r} is not a CRUD action"))
-    if not binding.scopes.entries:
+    if not binding.actions:
         findings.append(Finding(ERROR, "E-SCOPE-ACTION", context,
                                 "binding declares no valid CRUD action scopes"))
     return findings
@@ -202,7 +203,8 @@ def _check_paths(doc: EssDocument) -> list[Finding]:
     findings = []
     for path, item in doc.paths.items():
         context = pointer_for_path(path)
-        root_bound = item.bound_schema is not None
+        root_bound = (item.binding is not None
+                      and item.binding.placement is Placement.ROOT_LEVEL)
 
         if item.x_objects_ref is not None and not root_bound:
             findings.append(Finding(ERROR, "E-OBJECT-REF", context,

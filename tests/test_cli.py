@@ -1,12 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bola_guard import verify_token
 from bola_guard.cli import main
+from bola_guard.generator import MANIFEST_NAME, render_stub
 
-from conftest import FIXTURES
+from conftest import CORPUS, FIXTURES, fixture_doc
 
 
 GOOD_SPEC = str(FIXTURES / "petstore_root_level.yaml")
@@ -128,6 +133,33 @@ class TestGeneratorCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: manifest.json: ") and err.count("\n") == 1
         assert not (tmp_path / "x.yaml").exists()
+
+
+    @pytest.mark.parametrize("field", ["scheme_name", "object_id_property"])
+    def test_a_lone_surrogate_in_the_manifest_exits_3(self, tmp_path, capsys,
+                                                      field):
+        main(["gen-stub", GOOD_SPEC, "-o", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["routes"][0]["object_auth"][field] = "a\ud800"
+        # Valid JSON: the surrogate is written as an escape.
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["gen-spec", str(tmp_path), "-o",
+                     str(tmp_path / "x.yaml")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.yaml").exists()
+
+    @pytest.mark.parametrize("ref", ["5", "[1]", "'#/components/schemas/Ghost'"])
+    def test_an_x_objects_ref_that_dangles_exits_1(self, tmp_path, capsys, ref):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(Path(GOOD_SPEC).read_text().replace(
+            "'#/components/schemas/Pet/x-objectAuth'", ref), encoding="utf-8")
+        for command in ("validate", "classify", "roundtrip"):
+            assert main([command, str(spec)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: unresolvable reference: ")
+            assert err.count("\n") == 1
 
 
 class TestTokenCommand:
@@ -319,3 +351,90 @@ class TestServeConfig:
         config = tmp_path / "service.yaml"
         config.write_text("", encoding="utf-8")
         assert ServiceConfig.load(config) == ServiceConfig()
+
+
+# ---------------------------------------------------------------------------
+# Generated hostile input: valid documents and manifests with one value
+# replaced by an ill-typed one, or one key deleted.
+
+HOSTILE = (5, None, [1], {}, True, "", {"$ref": 5}, "a\ud800")
+DELETE = "<delete>"
+EXIT_CODES = {0, 1, 2, 3}
+
+
+def _places(node, at=()):
+    """The key or index path of every node below ``node``."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield at + (key,)
+        yield from _places(child, at + (key,))
+
+
+def _mutated(tree, place, value):
+    tree = copy.deepcopy(tree)
+    node = tree
+    for key in place[:-1]:
+        node = node[key]
+    if value == DELETE:
+        del node[place[-1]]
+    else:
+        node[place[-1]] = copy.deepcopy(value)
+    return tree
+
+
+def _exit_code(argv) -> int:
+    """``main``'s exit code; nothing may escape it."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+DOCUMENTS = {name: fixture_doc(name).raw for name in CORPUS}
+DOCUMENT_PLACES = [(name, place) for name, tree in DOCUMENTS.items()
+                   for place in _places(tree)]
+# Each fixture's stub, as its files: the manifest is the mutated one.
+STUBS = {name: render_stub(fixture_doc(name))[1] for name in CORPUS}
+MANIFEST_PLACES = [(name, place) for name, files in STUBS.items()
+                   for place in _places(json.loads(files[MANIFEST_NAME]))]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    for name, files in STUBS.items():
+        for relpath, text in files.items():
+            (root / name / relpath).parent.mkdir(parents=True, exist_ok=True)
+            (root / name / relpath).write_text(text, encoding="utf-8")
+    return root
+
+
+class TestGeneratedInputs:
+    """Grammar-aware mutation of the files the design-time commands read
+    (Manès et al., "The Art, Science, and Engineering of Fuzzing", IEEE TSE
+    2019): every result is a defined exit code, never a traceback."""
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(st.sampled_from(DOCUMENT_PLACES), st.sampled_from(HOSTILE + (DELETE,)))
+    def test_a_mutated_document_gets_a_defined_exit_code(self, workdir, target,
+                                                         value):
+        name, place = target
+        spec = workdir / "spec.json"
+        # JSON carries every hostile value, the lone surrogate as an escape.
+        spec.write_text(json.dumps(_mutated(DOCUMENTS[name], place, value)),
+                        encoding="utf-8")
+        for command in ("validate", "classify", "roundtrip"):
+            assert _exit_code([command, str(spec)]) in EXIT_CODES
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(MANIFEST_PLACES), st.sampled_from(HOSTILE + (DELETE,)))
+    def test_a_mutated_manifest_gets_a_defined_exit_code(self, workdir, target,
+                                                         value):
+        name, place = target
+        manifest = json.loads(STUBS[name][MANIFEST_NAME])
+        (workdir / name / MANIFEST_NAME).write_text(
+            json.dumps(_mutated(manifest, place, value)), encoding="utf-8")
+        assert _exit_code(["gen-spec", str(workdir / name), "-o",
+                           str(workdir / "recovered.yaml")]) in EXIT_CODES

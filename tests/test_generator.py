@@ -104,6 +104,15 @@ class TestSchemeWiring:
         assert validate(recased) == []
         assert manifest_from_document(recased) == manifest_from_document(root_doc)
 
+    @pytest.mark.parametrize("ref", [5, [1], None])
+    def test_an_object_ref_that_is_not_a_string_is_wired_as_id(self, root_doc,
+                                                               ref):
+        doc = mutate(root_doc, lambda t: _auth(t).update({"object": {"$ref": ref}}))
+        assert has_errors(validate(doc))
+        assert ess_facts(doc) == ess_facts(root_doc)
+        [route] = manifest_from_document(doc).routes
+        assert route.object_auth.object_id_property == "id"
+
     @pytest.mark.parametrize("ref, token, token_in", [
         ("#/components/securitySchemes/Ghost", None, "header"),
         ("#/components/securitySchemes/Loop", None, "header"),
@@ -215,8 +224,8 @@ class TestStubToSpec:
         (tmp_path / MANIFEST_NAME).unlink()
         recovered = stub_to_spec(tmp_path)
         assert set(recovered.paths) == {"/pet"}
-        assert recovered.paths["/pet"].methods == ("post", "put")
-        assert recovered.path_binding("/pet") is not None
+        assert tuple(recovered.paths["/pet"].operations) == ("post", "put")
+        assert recovered.paths["/pet"].binding is not None
 
     def test_malformed_marker_reports_file_and_line(self, tmp_path):
         handlers = tmp_path / "handlers"
@@ -390,7 +399,7 @@ class TestStubReader:
     def test_a_header_only_file_recovers_a_path_without_operations(self):
         recovered = recover_document(None, [("handlers/x.stub", "# route: /x\n")])
         assert set(recovered.paths) == {"/x"}
-        assert recovered.paths["/x"].methods == ()
+        assert recovered.paths["/x"].operations == {}
         assert recovered.bindings() == []
 
     def test_a_helper_named_like_a_handler_is_no_method(self):
@@ -409,7 +418,7 @@ class TestStubReader:
         with pytest.raises(StubInconsistentError, match="post/put with"):
             recover_document(files[MANIFEST_NAME], _handlers(files))
         recovered = recover_document(None, _handlers(files))
-        assert recovered.paths["/pet"].methods == ("post", "patch")
+        assert tuple(recovered.paths["/pet"].operations) == ("post", "patch")
 
     def test_a_bound_path_without_operations_round_trips_through_the_manifest(
             self, root_doc):
@@ -556,7 +565,7 @@ class TestGoldenEmission:
         golden = (FIXTURES / "generated_from_manifest.golden.yaml").read_text()
         assert "x-objectAuth" in golden
         doc = parse_document(golden)
-        assert doc.schemas["Pet"].binding is not None
+        assert doc.paths["/pet"].binding is doc.schemas["Pet"]
 
 
 attachment_strategy = st.one_of(

@@ -12,7 +12,6 @@ from bola_guard import (
     DocumentSyntaxError,
     Placement,
     SchemeKind,
-    ScopeClaims,
     StructureError,
     emit_document,
     parse_document,
@@ -21,7 +20,7 @@ from bola_guard import (
 from bola_guard.model import (
     _load_yaml,
     build_document,
-    resolved_claims,
+    canonicalize_tree,
     scheme_for_ref,
 )
 
@@ -45,24 +44,24 @@ class TestParse:
     def test_root_level_path_links_to_schema_binding(self, root_doc):
         item = root_doc.paths["/pet"]
         assert item.x_objects_ref == "#/components/schemas/Pet/x-objectAuth"
-        assert item.bound_schema == "Pet"
-        binding = root_doc.path_binding("/pet")
+        binding = item.binding
+        assert binding is root_doc.schemas["Pet"]
         assert binding.object_id_ref == "#/components/schemas/Pet/properties/id"
         assert binding.placement is Placement.ROOT_LEVEL
 
     def test_root_level_scopes_cover_all_four_actions(self, root_doc):
-        binding = root_doc.path_binding("/pet")
-        assert {a.value for a in binding.scopes.entries} == {
+        binding = root_doc.paths["/pet"].binding
+        assert {a.value for a in binding.actions} == {
             "create", "read", "update", "delete"}
-        claims = resolved_claims(root_doc, binding)
-        assert claims.groups == "string"
-        assert claims.user_id == "string"
+        assert binding.groups == "string"
+        assert binding.user_id == "string"
 
     def test_method_level_bindings_have_method_placement(self, method_doc):
         bindings = method_doc.bindings()
         assert bindings and all(
             b.placement is Placement.METHOD_LEVEL for b in bindings)
-        binding = method_doc.path_binding("/pet")
+        binding = method_doc.paths["/pet"].binding
+        assert binding is method_doc.paths["/pet"].method_bindings["post"]
         assert binding.token.location == "header"
         assert binding.scheme_ref is None
 
@@ -76,7 +75,7 @@ class TestParse:
             .replace("x-objectAuth", "X-OBJECTAUTH") \
             .replace("x-groups", "X-Groups")
         doc = parse_document(text)
-        assert doc.paths["/pet"].bound_schema == "Pet"
+        assert doc.paths["/pet"].binding is doc.schemas["Pet"]
         assert doc.security_schemes["X-objectAuthScheme"].x_groups == "string"
 
     def test_swagger_2_documents_are_rejected(self):
@@ -147,6 +146,11 @@ class TestResolveRef:
     def test_relative_ref_without_base_raises(self, method_doc):
         with pytest.raises(DanglingRefError):
             resolve_ref(method_doc, "post/responses/201")
+
+    @pytest.mark.parametrize("ref", [5, None, [1], {"$ref": "#/info"}])
+    def test_a_ref_that_is_not_a_string_dangles(self, root_doc, ref):
+        with pytest.raises(DanglingRefError):
+            resolve_ref(root_doc, ref)
 
     def test_escaped_path_segment(self, root_doc):
         node = resolve_ref(root_doc, "#/paths/~1pet/put")
@@ -321,7 +325,7 @@ class TestParseDetails:
     def test_an_operation_that_is_not_a_mapping_carries_no_binding(self):
         doc = parse_document("paths: {/pet: {get: null, post: {responses: {}}}}")
         item = doc.paths["/pet"]
-        assert item.methods == ("get", "post")
+        assert tuple(item.operations) == ("get", "post")
         assert item.method_bindings == {}
 
     def test_x_objects_may_be_a_bare_ref_string(self, root_doc):
@@ -329,8 +333,8 @@ class TestParseDetails:
             "    x-objects:\n      $ref: '#/components/schemas/Pet/x-objectAuth'",
             "    x-objects: '#/components/schemas/Pet/x-objectAuth'")
         doc = parse_document(text)
-        assert doc.paths["/pet"].bound_schema == "Pet"
-        assert doc.path_binding("/pet") == root_doc.path_binding("/pet")
+        assert doc.paths["/pet"].binding is doc.schemas["Pet"]
+        assert doc.paths["/pet"].binding == root_doc.paths["/pet"].binding
 
     def test_x_objects_on_a_node_that_is_not_a_binding_binds_nothing(self):
         text = fixture_text("petstore_root_level").replace(
@@ -339,7 +343,7 @@ class TestParseDetails:
             "  schemas:\n", "  schemas:\n    Tag: 5\n")
         item = parse_document(text).paths["/pet"]
         assert item.x_objects_ref == "#/components/schemas/Pet/properties/id"
-        assert item.bound_schema is None
+        assert item.binding is None
 
     def test_a_document_never_equals_another_type(self, root_doc):
         assert root_doc.__eq__(root_doc.raw) is NotImplemented
@@ -354,39 +358,56 @@ class TestScopeShapes:
 
     def test_scopes_that_are_not_a_mapping_grant_nothing(self):
         binding = self._scopes("[C, R]")
-        assert binding.scopes.entries == {}
-        assert binding.scopes.invalid_keys == ()
+        assert binding.actions == ()
+        assert binding.invalid_scope_keys == ()
 
     def test_the_per_action_shape_skips_claim_refs_and_keeps_odd_keys(self):
         binding = self._scopes(
             "{groups: {$ref: '#/g'}, user_id: {$ref: '#/u'}, C: null, "
             "R: {groups: {type: string}}, X: {}, 7: {}}")
-        assert binding.scopes.entries == {
-            Action.CREATE: ScopeClaims(), Action.READ: ScopeClaims(groups="string")}
-        assert binding.scopes.invalid_keys == ("X", "7")
+        assert binding.actions == (Action.CREATE, Action.READ)
+        assert binding.invalid_scope_keys == ("X", "7")
         assert (binding.groups_ref, binding.user_id_ref) == ("#/g", "#/u")
+        # A declared claim wins over the ref; the dangling ref gives none.
+        assert (binding.groups, binding.user_id) == ("string", None)
 
     def test_the_shared_shape_keeps_odd_keys_and_shares_its_claims(self):
         binding = self._scopes(
             "{groups: string, methods: {post: null, PATCH: {}, r: {}}}")
-        assert binding.scopes.entries == {
-            Action.CREATE: ScopeClaims(groups="string"),
-            Action.READ: ScopeClaims(groups="string")}
-        assert binding.scopes.invalid_keys == ("PATCH",)
+        assert binding.actions == (Action.CREATE, Action.READ)
+        assert (binding.groups, binding.user_id) == ("string", None)
+        assert binding.invalid_scope_keys == ("PATCH",)
 
     def test_a_dangling_claim_ref_resolves_to_no_claim(self, root_doc):
         text = fixture_text("petstore_root_level").replace(
             "X-objectAuthScheme/x-groups'", "X-objectAuthScheme/x-missing'")
         doc = parse_document(text)
-        claims = resolved_claims(doc, doc.path_binding("/pet"))
-        assert claims == ScopeClaims(groups=None, user_id="string")
+        binding = doc.paths["/pet"].binding
+        assert (binding.groups, binding.user_id) == (None, "string")
+
+
+    @pytest.mark.parametrize("scopes, groups", [
+        # The last body for an action wins, at the action's first place.
+        ("{C: {groups: a}, R: {groups: b}, post: {}}", "b"),
+        ("{R: {groups: b}, C: {groups: a}}", "b"),
+        # An empty descriptor is skipped; with none declared, the ref decides.
+        ("{C: {groups: ''}, R: {groups: b}}", "b"),
+        ("{groups: {$ref: '#/components/g'}, C: {groups: ''}}", "integer"),
+        ("{groups: {$ref: 5}, C: {}}", None),
+    ])
+    def test_a_claim_is_the_first_declared_else_its_ref_target(self, scopes,
+                                                               groups):
+        doc = parse_document("openapi: 3.0.3\ncomponents: {g: {type: integer}}\n"
+                             "paths:\n  /pet:\n    post:\n      X-objectAuth:\n"
+                             "        scopes: " + scopes + "\n")
+        assert doc.paths["/pet"].binding.groups == groups
 
 
 class TestCanonicalization:
     def test_the_scheme_name_gets_its_canonical_spelling(self):
         text = fixture_text("petstore_root_level").replace(
             "X-objectAuthScheme", "x-OBJECTauthscheme")
-        tree = parse_document(text).canonical_tree()
+        tree = canonicalize_tree(parse_document(text).raw)
         assert list(tree["components"]["securitySchemes"]) == \
             ["api_key", "X-objectAuthScheme"]
         auth = tree["components"]["schemas"]["Pet"]["x-objectAuth"]
@@ -399,7 +420,7 @@ class TestCanonicalization:
                    "              schema:\n                oneOf:\n"
                    "                  - $ref: '#/components/schemas/Pet/X-OBJECTAUTH'\n"
                    "                  - 5\n")
-        one_of = doc.canonical_tree()["paths"]["/pet"]["get"]["responses"][
+        one_of = canonicalize_tree(doc.raw)["paths"]["/pet"]["get"]["responses"][
             "200"]["content"]["a/b"]["schema"]["oneOf"]
         assert one_of == [{"$ref": "#/components/schemas/Pet/x-objectAuth"}, 5]
         # The model's own tree keeps the document's spelling.

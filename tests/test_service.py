@@ -657,14 +657,14 @@ class RawConnection:
 
     def reply(self) -> tuple[int, dict[str, str], bytes]:
         """The next reply's status, headers (by lower-cased name) and the
-        body its ``Content-Length`` frames."""
+        body its ``Content-Length`` frames (none without one)."""
         status_line = self.reader.readline()
         assert status_line.startswith(b"HTTP/1.1 "), status_line
         headers = {}
         while (line := self.reader.readline()) not in (b"\r\n", b""):
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.lower()] = value.strip()
-        body = self.reader.read(int(headers["content-length"]))
+        body = self.reader.read(int(headers.get("content-length", 0)))
         return int(status_line.split()[1]), headers, body
 
     def rest(self, wait: float = IDLE_TIMEOUT_S / 2) -> bytes | None:
@@ -835,6 +835,30 @@ class TestHttpBoundary:
             [(200, {"id": 1, "name": "lucky"})] * 2
         assert [headers["connection"] for _, headers, _ in replies] == \
             ["keep-alive"] * 3
+
+    def test_a_204_carries_no_content_length(self, connect):
+        conn = connect()
+        conn.send(create_head(2), b"{}")
+        assert conn.reply()[0] == 201
+        conn.send(f"DELETE /pet/1 HTTP/1.1\r\nHost: x\r\n"
+                  f"api_key: {token('123', {'G21'})}")
+        status, headers, body = conn.reply()
+        assert (status, body) == (204, b"")
+        assert "content-length" not in headers
+        assert headers["connection"] == "keep-alive"
+        conn.send(create_head(2), b"{}")
+        status, _, reply = conn.reply()
+        assert (status, json.loads(reply)) == (201, {"id": 2})
+
+    def test_one_empty_line_before_a_request_line_is_skipped(self, connect):
+        # RFC 9112 §2.2: a client may send a stray CRLF after a POST body.
+        read = f"GET /pet HTTP/1.1\r\nHost: x\r\napi_key: {token('9', {'G22'})}"
+        conn = connect()
+        conn.send(create_head(2), b"{}\r\n" + read.encode() + b"\r\n\r\n")
+        assert [conn.reply()[0], conn.reply()[0]] == [201, 200]
+        # A second empty line in a row still ends the connection.
+        conn.sock.sendall(b"\r\n\r\n" + read.encode() + b"\r\n\r\n")
+        assert conn.rest() == b""
 
     @pytest.mark.parametrize("request_line, header", [
         ("GET /pet HTTP/1.0", ""),

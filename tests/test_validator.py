@@ -151,6 +151,27 @@ class TestValidate:
                 {"$ref": "#/components/securitySchemes/Alias"}
         assert validate(mutate(root_doc, alias)) == []
 
+    @pytest.mark.parametrize("where", ["object", "schema", "groups", "alias"])
+    @pytest.mark.parametrize("ref", [5, [1], {}, True])
+    def test_a_ref_that_is_not_a_string_dangles(self, root_doc, where, ref):
+        def point(tree):
+            auth = tree["components"]["schemas"]["Pet"]["x-objectAuth"]
+            if where == "alias":
+                tree["components"]["securitySchemes"]["Alias"] = {"$ref": ref}
+                auth["schema"] = {"$ref": "#/components/securitySchemes/Alias"}
+            else:
+                (auth["scopes"] if where == "groups" else auth)[where] = {"$ref": ref}
+        findings = validate(mutate(root_doc, point))
+        assert [(f.code, f.path_context) for f in findings] == \
+            [("E-DANGLING-REF", "#/components/schemas/Pet/x-objectAuth")]
+
+    @pytest.mark.parametrize("declared", [["integer", "null"], {}, 5, None])
+    def test_an_object_id_type_that_is_not_a_string_is_not_primitive(
+            self, root_doc, declared):
+        wrong = mutate(root_doc, lambda t: t["components"]["schemas"]["Pet"]
+                       ["properties"]["id"].update({"type": declared}))
+        assert [f.code for f in validate(wrong)] == ["E-OBJECT-REF"]
+
     def test_x_objects_on_a_node_that_is_not_a_binding_is_flagged(self, root_doc):
         wrong = mutate(root_doc, lambda t: t["paths"]["/pet"]["x-objects"].update(
             {"$ref": "#/components/schemas/Pet/properties/id"}))
