@@ -246,6 +246,17 @@ _SEGMENT_CANON = {
 }
 
 
+def _decimal(text: str) -> int | None:
+    """``text`` as a non-negative ASCII decimal, else None; ``int()`` alone
+    also takes signs, underscores, spaces and non-ASCII digits."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:      # more digits than int() converts
+            pass
+    return None
+
+
 def _walk(root: Any, pointer: str, original: str) -> Any:
     fragment = urllib.parse.unquote(pointer[1:])
     if fragment in ("", "/"):
@@ -258,8 +269,9 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
                 node = node[segment]
                 continue
             # YAML may have parsed numeric-looking keys as ints.
-            if segment.isdigit() and int(segment) in node:
-                node = node[int(segment)]
+            index = _decimal(segment)
+            if index is not None and index in node:
+                node = node[index]
                 continue
             # Extension keys match case-insensitively, same as the parser.
             if segment.lower() in _SEGMENT_CANON:
@@ -269,8 +281,10 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
                     continue
             raise DanglingRefError(original)
         if isinstance(node, list):
-            if segment.isdigit() and int(segment) < len(node):
-                node = node[int(segment)]
+            # RFC 6901 array indices are ASCII digits.
+            index = _decimal(segment)
+            if index is not None and index < len(node):
+                node = node[index]
                 continue
             raise DanglingRefError(original)
         raise DanglingRefError(original)

@@ -16,7 +16,9 @@ decides nothing:
 Routes are exactly the rule table's paths, with ids in canonical ASCII
 decimal (``/pet/1``, never ``/pet/+1`` or ``/pet/01``); anything else is 404
 ``unknown_route``, and a verb a route does not take 405. Every object in a
-reply carries the server's id.
+reply carries the server's id. A :class:`Response` holds its payload as
+bytes: an object's reply is the ``reply`` its store entry encoded once, and
+a listing joins those bytes, so no request re-serialises a stored object.
 
 Status codes: 401 token failures, 403 denied decisions (body
 ``{"code", "reason"}`` echoing the decision reason), 404 authorized but
@@ -68,7 +70,7 @@ import yaml
 from .actions import VERB_TO_ACTION, Action
 from .engine import AuthzEngine, DecisionReason
 from .errors import DocumentSyntaxError, StorageError, StructureError, TokenError
-from .model import _load_yaml
+from .model import _decimal, _load_yaml
 from .rules import GroupRuleSet, default_rule_set, load_rules
 from .store import AclStore, ObjectStore
 from .tokens import verify_token
@@ -84,16 +86,20 @@ IDLE_TIMEOUT_S = 2.0
 @dataclass
 class Response:
     status: int
-    body: Any = None
+    payload: bytes = b""
 
-    def payload(self) -> bytes:
-        if self.body is None:
-            return b""
-        return json.dumps(self.body).encode("utf-8")
+    @property
+    def body(self) -> Any:
+        """The payload decoded, None when it is empty."""
+        return json.loads(self.payload) if self.payload else None
+
+
+def _json(status: int, value: Any) -> Response:
+    return Response(status, json.dumps(value).encode())
 
 
 def _error(status: int, reason: str, **extra) -> Response:
-    return Response(status, {"code": status, "reason": reason, **extra})
+    return _json(status, {"code": status, "reason": reason, **extra})
 
 
 @dataclass
@@ -224,8 +230,8 @@ class ReferenceService:
             return _error(403, decision.reason.value)
 
         if template == ADMIN_PATH:
-            return Response(200, [ace.to_record()
-                                  for ace in self.engine.store.entries()])
+            return _json(200, [ace.to_record()
+                               for ace in self.engine.store.entries()])
         if action is Action.CREATE:
             return self._create(seq, token, template, body)
         if object_id is None:
@@ -264,16 +270,16 @@ class ReferenceService:
             ace = self.engine.record_creation(token, template, object_id)
             self._emit(seq, "ace_created", path=template, id=object_id,
                        owner=ace.owner)
-            stored = {"id": object_id, "path": template, "body": document}
-            self.objects.put(stored)
+            stored = self.objects.put({"id": object_id, "path": template,
+                                       "body": document})
             self._emit(seq, "object_created", path=template, id=object_id)
-        return Response(201, _view(object_id, document))
+        return Response(201, stored.reply)
 
     def _read(self, template: str, object_id: int) -> Response:
         stored = self.objects.get(template, object_id)
         if stored is None:
             return _error(404, "no_such_object")
-        return Response(200, _view(object_id, stored["body"]))
+        return Response(200, stored.reply)
 
     def _write(self, seq: int, template: str, object_id: int, action: Action,
                body: bytes | None) -> Response:
@@ -284,10 +290,10 @@ class ReferenceService:
             if action is Action.UPDATE:
                 if document is None:
                     return _error(400, "invalid_body")
-                self.objects.put({"id": object_id, "path": template,
-                                  "body": document})
+                stored = self.objects.put({"id": object_id, "path": template,
+                                           "body": document})
                 self._emit(seq, "object_updated", path=template, id=object_id)
-                return Response(200, _view(object_id, document))
+                return Response(200, stored.reply)
             self.objects.delete(template, object_id)
             if self.engine.store.get(template, object_id) is not None:
                 self.engine.store.delete(template, object_id)
@@ -305,31 +311,12 @@ class ReferenceService:
             visible = [stored for stored in
                        (self.objects.get(template, i) for i in ids)
                        if stored is not None]
-        return Response(200, [_view(stored["id"], stored["body"])
-                              for stored in visible])
+        # json.dumps of the list of replies, spelled as a join of the bytes.
+        return Response(200, b"[" + b", ".join(s.reply for s in visible) + b"]")
 
 
 def _wall_clock() -> float:
     return time.time()
-
-
-def _view(object_id: int, body: dict) -> dict:
-    """The reply shape of an object: the server's id first, over any ``id``
-    the client put in the body."""
-    view = {"id": object_id, **body}
-    view["id"] = object_id
-    return view
-
-
-def _decimal(text: str) -> int | None:
-    """``text`` as a non-negative ASCII decimal, else None; ``int()`` alone
-    also takes signs, underscores, spaces and non-ASCII digits."""
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:      # more digits than int() converts
-            pass
-    return None
 
 
 def _parse_body(body: bytes | None) -> dict | None:
@@ -461,7 +448,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def _send(self, response: Response, keep: bool = False,
               with_body: bool = True) -> bool:
         """Send ``response`` in one write; return ``keep``."""
-        payload = response.payload()
+        payload = response.payload
         content_type = "Content-Type: application/json\r\n" if payload else ""
         # A 204 has no body and so no Content-Length (RFC 9110 §8.6).
         length = "" if response.status == 204 else \

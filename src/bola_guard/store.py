@@ -29,6 +29,11 @@ no lock. They copy a bucket or a reader set in one C-level call
 respect to writers, and then work on the copy. So a reader never observes a
 torn value, never misses an entry, and never iterates a container that a
 writer is changing.
+
+:class:`ObjectStore` holds each object as a :class:`StoredObject`, which
+encodes the object's reply on first use, never at replay, and keeps it.
+That slot is the one write to a held value: two readers racing to fill it
+store equal bytes, each in one slot store, atomic under the GIL.
 """
 
 from __future__ import annotations
@@ -160,13 +165,14 @@ class JournalStore(Generic[T]):
             raise StorageError(f"append to {self.location} failed: {exc}") from exc
 
     def put(self, value: T) -> T:
-        """Upsert; durable before return. ``ValueError``, and nothing
-        written, for a value whose record replay would refuse."""
+        """Upsert; durable before return; returns the value held, which is
+        what replay reads back. ``ValueError``, and nothing written, for a
+        value whose record replay would refuse."""
         line, entry = self._line(self._encode(value))
         with self._lock:
             self._append(line)
             self._set(*entry)
-        return value
+        return entry[2]
 
     def delete(self, path: str, object_id: int) -> None:
         """Append a tombstone; raises if the key is absent."""
@@ -280,13 +286,31 @@ class AclStore(JournalStore[AccessControlEntry]):
         return sorted(ids) if ids else []
 
 
-class ObjectStore(JournalStore[dict]):
-    """Journal of stored object bodies: ``{"id", "path", "body"}`` records."""
+class StoredObject(dict):
+    """A held ``{"id", "path", "body"}`` record that keeps its reply."""
+
+    __slots__ = ("_reply",)
+
+    @property
+    def reply(self) -> bytes:
+        """``{"id": id, **body}`` as JSON, the server's id over the body's."""
+        try:
+            return self._reply
+        except AttributeError:  # first use; a racing reader stores equal bytes
+            view = {"id": self["id"], **self["body"]}
+            view["id"] = self["id"]
+            self._reply = json.dumps(view).encode()
+            return self._reply
+
+
+class ObjectStore(JournalStore[StoredObject]):
+    """Journal of stored object bodies: ``{"id", "path", "body"}`` records,
+    held as :class:`StoredObject`."""
 
     def _encode(self, value: dict) -> dict:
         return {"id": value["id"], "path": value["path"], "body": value["body"]}
 
-    def _decode(self, record: dict) -> dict:
+    def _decode(self, record: dict) -> StoredObject:
         if not isinstance(record["body"], dict):
             raise ValueError("body must be an object")
-        return self._encode(record)     # no stray keys, shared key strings
+        return StoredObject(id=record["id"], path=record["path"], body=record["body"])

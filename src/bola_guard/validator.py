@@ -14,6 +14,8 @@ E-OBJECT-REF          error     object identifier ref missing / not a primitive
 E-SCOPE-ACTION        error     scope key outside the four CRUD actions, or no
                                 valid action at all
 E-DANGLING-REF        error     a binding-internal $ref resolves to nothing
+E-PATH-KEY            error     path key holds a line break or ends in whitespace,
+                                which a stub's ``# route:`` header cannot carry
 W-BOLA-UNBOUND        warning   path handles an object schema but has no binding
 W-ESS-DUPLICATE       warning   structurally identical method-level binding repeated
 ====================  ========  =====================================================
@@ -50,6 +52,7 @@ CODES = (
     "E-OBJECT-REF",
     "E-SCOPE-ACTION",
     "E-DANGLING-REF",
+    "E-PATH-KEY",
     "W-BOLA-UNBOUND",
     "W-ESS-DUPLICATE",
 )
@@ -205,6 +208,12 @@ def _check_paths(doc: EssDocument) -> list[Finding]:
         context = pointer_for_path(path)
         root_bound = (item.binding is not None
                       and item.binding.placement is Placement.ROOT_LEVEL)
+
+        if path.splitlines() != [path] or path.strip() != path:
+            findings.append(Finding(ERROR, "E-PATH-KEY", context,
+                                    f"path {path!r} holds a line break or ends "
+                                    f"in whitespace, which a stub's '# route:' "
+                                    f"header cannot carry"))
 
         if item.x_objects_ref is not None and not root_bound:
             findings.append(Finding(ERROR, "E-OBJECT-REF", context,

@@ -51,6 +51,18 @@ class TestValidateCommand:
         bad.write_text("paths: [unclosed", encoding="utf-8")
         assert main(["validate", str(bad)]) == 3
 
+    @pytest.mark.parametrize("segment", ["\u00b2", "9" * 5000],
+                             ids=["superscript-two", "past-int-digit-limit"])
+    def test_a_ref_segment_that_int_refuses_draws_a_finding(self, tmp_path,
+                                                            capsys, segment):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(Path(GOOD_SPEC).read_text().replace(
+            "'#/components/schemas/Pet/properties/id'",
+            f"'#/components/schemas/Pet/properties/{segment}'"), encoding="utf-8")
+        assert main(["validate", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert "E-DANGLING-REF" in captured.out and captured.err == ""
+
     def test_non_utf8_document_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "latin1.yaml"
         bad.write_bytes(b"openapi: 3.0.3\ninfo: {title: caf\xe9}\npaths: {}\n")
@@ -160,6 +172,20 @@ class TestGeneratorCommands:
             err = capsys.readouterr().err
             assert err.startswith("error: unresolvable reference: ")
             assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("path, code", [("/a\nb", 1), ("/a\t", 1),
+                                            ("/a b", 0)])
+    def test_gen_stub_and_roundtrip_refuse_a_path_a_stub_cannot_carry(
+            self, tmp_path, capsys, path, code):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.3", "info": {"title": "t", "version": "1"},
+            "paths": {path: {"get": {"responses": {"200": {
+                "description": "ok"}}}}}}), encoding="utf-8")
+        assert main(["roundtrip", str(spec)]) == code
+        assert main(["gen-stub", str(spec), "-o", str(tmp_path / "stub")]) == code
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestTokenCommand:

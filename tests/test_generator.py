@@ -488,6 +488,19 @@ class TestRoundTrip:
         spec_to_stub(doc, tmp_path)
         assert stub_matches_spec(doc, tmp_path)
 
+    # A line break would cut the route header, and its trailing whitespace
+    # is trimmed on reading.
+    @pytest.mark.parametrize("path", ["/a\nb", "/a\rb", "/a\x0cb", "/a\x85b",
+                                      "/a ", "/a\t"])
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "unbound"])
+    def test_a_path_the_route_header_cannot_carry_is_an_error(self, path, bound):
+        route = _bound(path) if bound else RouteSpec(path, ("get",), None)
+        doc = document_from_manifest(StubManifest((route,)))
+        assert [(f.severity, f.code) for f in validate(doc)] == \
+            [("error", "E-PATH-KEY")]
+        with pytest.raises(ValidationFailedError):
+            roundtrip_check(doc)
+
 
 def _bound(path: str) -> RouteSpec:
     return RouteSpec(path, ("post", "get"), X_HEADER)

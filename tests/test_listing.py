@@ -7,6 +7,7 @@ order, whatever sequence of creations, deletions, grants, orphans,
 compactions and reopens came before.
 """
 
+import json
 import sys
 import tempfile
 import threading
@@ -32,7 +33,8 @@ LISTERS = [
 
 
 def expected_listing(objects, aces, path, user, groups):
-    """Status and body by brute force over every stored object."""
+    """Status and payload, as ``json.dumps`` writes the list of views, by
+    brute force over every stored object."""
     rows = default_rule_rows()
     if not any(row["path"] == path and row["group"] in groups
                and "read" in row["actions"] for row in rows):
@@ -41,7 +43,7 @@ def expected_listing(objects, aces, path, user, groups):
                for (p, object_id), body in sorted(objects.items())
                if p == path and oracle_access(rows, groups, path, "read", user,
                                               aces.get((path, object_id)))]
-    return 200, visible
+    return 200, json.dumps(visible).encode()
 
 
 operations = st.one_of(
@@ -147,8 +149,8 @@ class Run:
             for user, groups in LISTERS:
                 response = request(self.service, "GET", path,
                                    token(user, groups))
-                body = response.body if response.status == 200 else None
-                assert (response.status, body) == \
+                payload = response.payload if response.status == 200 else None
+                assert (response.status, payload) == \
                     expected_listing(self.objects, self.aces, path, user,
                                      groups), \
                     (path, user, sorted(groups))

@@ -228,6 +228,13 @@ paths:
         "#/paths/~1pet/get/parameters/first",    # not an index
         "#/paths/~1pet/get/parameters/0/in/x",   # into a scalar
         "#/paths/~1pet/get/responses/404",       # an integer key that is absent
+        "#/paths/~1pet/get/parameters/\u00b2",   # a digit to isdigit, not to int
+        "#/paths/~1pet/get/responses/\u00b2",
+        "#/paths/~1pet/get/parameters/\u0660",   # a non-ASCII decimal
+        pytest.param("#/paths/~1pet/get/responses/" + "9" * 5000,
+                     id="key-past-int-digit-limit"),
+        pytest.param("#/paths/~1pet/get/parameters/" + "9" * 5000,
+                     id="index-past-int-digit-limit"),
     ])
     def test_a_pointer_that_leaves_the_tree_dangles(self, ref):
         with pytest.raises(DanglingRefError):

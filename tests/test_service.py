@@ -269,6 +269,37 @@ class TestObjectViews:
             {"id": 1, "name": "y"}
         assert request(service, "GET", "/pet/999", owner).status == 403
 
+    def test_replies_are_the_bytes_json_dumps_writes_of_their_views(
+            self, tmp_path):
+        bodies = [{"id": 999, "name": "x"},
+                  {"name": "caf\u00e9 \U0001f408", "tags": ["a", {"b": [1, 2.5]}],
+                   "more": {"none": None, "yes": True}},
+                  {}]
+        views = [{"id": 1, "name": "x"}, {"id": 2, **bodies[1]}, {"id": 3}]
+        owner, reader = token("123", {"G21"}), token("9", {"G22"})
+        first = build_service(tmp_path)
+        try:
+            for caller in (owner, reader):
+                assert request(first, "GET", "/pet", caller).payload == b"[]"
+            for body, view in zip(bodies, views):
+                assert request(first, "POST", "/pet", owner, body).payload == \
+                    json.dumps(view).encode()
+            assert request(first, "PUT", "/pet/3", owner, {"id": 7}).payload == \
+                json.dumps(views[2]).encode()
+        finally:
+            first.close()
+        # A fresh open encodes the same bytes from the journal.
+        second = build_service(tmp_path)
+        try:
+            for view in views:
+                assert request(second, "GET", f"/pet/{view['id']}",
+                               owner).payload == json.dumps(view).encode()
+            for caller in (owner, reader):
+                assert request(second, "GET", "/pet", caller).payload == \
+                    json.dumps(views).encode()
+        finally:
+            second.close()
+
 
 class TestUnexpectedErrors:
     def test_an_unexpected_exception_is_a_logged_500_with_its_seq(self, service,
@@ -600,6 +631,32 @@ class TestHttpAdapter:
             server.server_close()
             service.close()
             thread.join(timeout=5)
+
+    def test_repeated_reads_and_listings_call_no_json_dumps(
+            self, http_server, connect, monkeypatch):
+        service = http_server.RequestHandlerClass.service
+        owner, reader = token("123", {"G21"}), token("9", {"G22"})
+        for n in range(50):
+            request(service, "POST", "/pet", owner, {"n": n})
+        conn = connect()
+
+        def replies():
+            conn.send(f"GET /pet HTTP/1.1\r\nHost: x\r\napi_key: {reader}")
+            conn.send(f"GET /pet/7 HTTP/1.1\r\nHost: x\r\napi_key: {owner}")
+            return [conn.reply(), conn.reply()]
+
+        warm = replies()
+        assert [status for status, _, _ in warm] == [200, 200]
+        assert len(json.loads(warm[0][2])) == 50
+        calls = []
+        dumps = json.dumps
+        # store and service both call json.dumps through this one module.
+        monkeypatch.setattr(json, "dumps",
+                            lambda *a, **k: calls.append(a) or dumps(*a, **k))
+        for _ in range(3):
+            assert [(s, b) for s, _, b in replies()] == \
+                [(s, b) for s, _, b in warm]
+        assert calls == []
 
 
 class TestConfig:
@@ -1145,7 +1202,7 @@ class TestGeneratedRequests:
 
         def record(method, url, headers, body):
             calls.append((method, url, headers, body))
-            return Response(200, [])
+            return Response(200, b"[]")
         monkeypatch.setattr(http_server.RequestHandlerClass.service,
                             "handle_request", record)
         assert [status for status, _ in

@@ -363,6 +363,7 @@ def _apply_step(step, acl, objects, engine):
 
 def _state(acl, objects):
     return (acl.entries(), objects.entries(),
+            [o.reply for o in objects.entries()],
             {(path, user): acl.readable_ids(path, user)
              for path in STEP_PATHS for user in STEP_USERS},
             acl.journal_position, objects.journal_position)
@@ -497,3 +498,31 @@ class TestConcurrency:
         assert not any(t.is_alive() for t in threads)
         store.close()
         assert errors == []
+
+    def test_readers_racing_to_encode_a_reply_get_the_same_bytes(self, tmp_path):
+        location = tmp_path / "objects.ndjson"
+        with ObjectStore.open(location) as store:
+            for i in range(200):
+                store.put({"id": i, "path": "/pet", "body": {"n": i, "id": -i}})
+        expected = [json.dumps({"id": i, "n": i}).encode() for i in range(200)]
+        # Replay encodes no reply, so six readers race to fill every one.
+        store = ObjectStore.open(location)
+        results = []
+
+        def reader():
+            results.append([o.reply for o in store.in_path("/pet")])
+
+        threads = [threading.Thread(target=reader) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            store.close()
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 6
+        assert [o.reply for o in store.entries()] == expected
