@@ -127,7 +127,7 @@ class StubManifest:
         readers and not read back; the latter must still be an array."""
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DocumentSyntaxError(f"{MANIFEST_NAME}: {exc}") from exc
         routes = []
         for entry in _field(payload, "routes", list, "the manifest", []):

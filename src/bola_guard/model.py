@@ -27,12 +27,16 @@ from __future__ import annotations
 import copy
 import json
 import re
+import sys
 import urllib.parse
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
 
 import yaml
+from yaml.events import (AliasEvent, MappingEndEvent, MappingStartEvent, ScalarEvent,
+                         SequenceEndEvent, SequenceStartEvent, StreamEndEvent)
+from yaml.nodes import ScalarNode
 
 from .actions import VERB_ORDER, Action, action_for_key
 from .errors import (
@@ -257,6 +261,13 @@ def _decimal(text: str) -> int | None:
     return None
 
 
+def _canonical_int(text: str) -> int | None:
+    """``text`` as a non-negative integer when it is that integer's own
+    spelling, ``str(n)``: no leading zero (RFC 6901 §4), else None."""
+    number = _decimal(text)
+    return number if number is not None and str(number) == text else None
+
+
 def _walk(root: Any, pointer: str, original: str) -> Any:
     fragment = urllib.parse.unquote(pointer[1:])
     if fragment in ("", "/"):
@@ -269,7 +280,7 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
                 node = node[segment]
                 continue
             # YAML may have parsed numeric-looking keys as ints.
-            index = _decimal(segment)
+            index = _canonical_int(segment)
             if index is not None and index in node:
                 node = node[index]
                 continue
@@ -281,8 +292,8 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
                     continue
             raise DanglingRefError(original)
         if isinstance(node, list):
-            # RFC 6901 array indices are ASCII digits.
-            index = _decimal(segment)
+            # RFC 6901 array indices are ASCII digits, with no leading zero.
+            index = _canonical_int(segment)
             if index is not None and index < len(node):
                 node = node[index]
                 continue
@@ -297,24 +308,109 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
 
 # A block scalar header with a comment right after it, as in ``a: |#c``.
 _HEADER_COMMENT = re.compile(r"[|>][-+0-9]*#")
+# ``_build``'s mark for a node or text that ``yaml.load`` must decide, and
+# for an anchor whose collection is still open.
+_DEFER = object()
+
+
+def _loader_for(text: str) -> type:
+    """libyaml's loader when PyYAML was built with it, except where libyaml
+    parts from the pure-Python loader: it accepts a tab after a plain scalar
+    and a ``#`` right after a block scalar header, reads a bare ``!`` tag as
+    ``''``, not None, and refuses a U+FEFF past the start. There the pure
+    loader decides, and the verdict does not hang on the build."""
+    pure = ("\t" in text or "!" in text or "\ufeff" in text
+            or (("|" in text or ">" in text) and _HEADER_COMMENT.search(text)))
+    return yaml.SafeLoader if pure \
+        else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _load_yaml(text: str) -> Any:
-    """Decode YAML text; malformed text raises :class:`yaml.YAMLError`.
-    libyaml decodes it when PyYAML was built with it, except where libyaml
-    parts from the pure-Python loader: it accepts a tab after a plain scalar
-    and a ``#`` right after a block scalar header, reads a bare ``!`` tag as
-    ``''``, not None, and refuses a U+FEFF past the start. There the
-    pure loader decides, and the verdict does not hang on the build."""
-    pure = ("\t" in text or "!" in text or "\ufeff" in text
-            or (("|" in text or ">" in text) and _HEADER_COMMENT.search(text)))
-    loader = yaml.SafeLoader if pure \
-        else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    """Decode YAML text as ``yaml.load`` with :func:`_loader_for`'s loader
+    does, but from the parser's events, composing no node graph; malformed
+    text raises :class:`yaml.YAMLError`. Where :func:`_build` builds no tree
+    (a merge key or explicit tag, an undefined, repeated or still-open
+    anchor, a collection as a key, a date that does not exist, a second
+    document, a syntax error), ``yaml.load`` decides, and its verdict and
+    message stand. Collections
+    nested over ``sys.getrecursionlimit()`` deep are refused before that:
+    libyaml's composer recurses on the C stack, the pure one in Python."""
+    loader = _loader_for(text)
     try:
-        return yaml.load(text, Loader=loader)
+        parser = loader(text)
+        try:
+            tree = _build(parser)
+        finally:
+            parser.dispose()
+        return yaml.load(text, Loader=loader) if tree is _DEFER else tree
     except UnicodeEncodeError as exc:
         # libyaml reads UTF-8: a lone surrogate, which the pure reader rejects.
         raise yaml.YAMLError(f"unencodable character: {exc}") from exc
+    except RecursionError as exc:   # the pure composer, past ~490 levels
+        raise yaml.YAMLError(f"nested too deep: {exc}") from exc
+
+
+def _build(parser: Any) -> Any:
+    """The tree ``parser``'s events spell, or ``_DEFER``. A plain scalar is
+    typed by the loader's own resolver and constructor, and an alias is the
+    very object its anchor names. After a deferral it only counts depth."""
+    limit = sys.getrecursionlimit()
+    resolve, constructors = parser.resolve, parser.yaml_constructors
+    str_tag, tags = parser.DEFAULT_SCALAR_TAG, {}   # plain scalar -> its tag
+    anchors: dict[str, Any] = {}
+    # The open collection's children (a mapping's keys and values alternate),
+    # whether it is a mapping, and the ones around it, each with the anchor
+    # of the one inside; the outermost holds each document.
+    nodes, mapping, enclosing, deferred = [], False, [], False
+    while True:
+        try:
+            event = parser.get_event()
+        except yaml.YAMLError:
+            return _DEFER
+        kind = type(event)
+        if kind is ScalarEvent:
+            node = event.value
+            if event.tag is not None:
+                node = _DEFER
+            elif event.implicit[0] and not deferred:
+                tag = tags.get(node) or tags.setdefault(
+                    node, resolve(ScalarNode, node, (True, False)))
+                if tag != str_tag:      # whose constructor returns the value
+                    construct = constructors.get(tag)
+                    try:
+                        node = _DEFER if construct is None \
+                            else construct(parser, ScalarNode(tag, node))
+                    except ValueError:  # no such date: yaml.load says so,
+                        node = _DEFER   # or names an error it meets first
+            if event.anchor is not None:
+                deferred |= event.anchor in anchors
+                anchors[event.anchor] = node
+        elif kind is AliasEvent:
+            node = anchors.get(event.anchor, _DEFER)
+        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            if len(enclosing) >= limit:
+                raise yaml.YAMLError(f"collections nested over {limit} deep")
+            deferred |= event.tag is not None or event.anchor in anchors
+            if event.anchor is not None:
+                anchors[event.anchor] = _DEFER
+            enclosing.append((nodes, mapping, event.anchor))
+            nodes, mapping = [], kind is MappingStartEvent
+            continue
+        elif kind is MappingEndEvent or kind is SequenceEndEvent:
+            node = dict(zip(nodes[::2], nodes[1::2])) if mapping else nodes
+            nodes, mapping, anchor = enclosing.pop()
+            if anchor is not None:
+                anchors[anchor] = node
+        elif kind is StreamEndEvent:    # two documents are yaml.load's error
+            return _DEFER if deferred or len(nodes) > 1 else next(iter(nodes), None)
+        else:
+            continue
+        # A collection is no key: yaml.load refuses it as unhashable.
+        if node is _DEFER or mapping and not len(nodes) % 2 \
+                and isinstance(node, (dict, list)):
+            deferred = True
+        elif not deferred:
+            nodes.append(node)
 
 
 def parse_document(text: str, format: str = "yaml") -> EssDocument:
@@ -332,7 +428,7 @@ def parse_document(text: str, format: str = "yaml") -> EssDocument:
             tree = json.loads(text)
         else:
             tree = _load_yaml(text)
-    except (yaml.YAMLError, json.JSONDecodeError) as exc:
+    except (yaml.YAMLError, json.JSONDecodeError, RecursionError) as exc:
         raise DocumentSyntaxError(f"malformed {format} document: {exc}") from exc
     if tree is None:
         tree = {}

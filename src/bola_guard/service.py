@@ -70,7 +70,7 @@ import yaml
 from .actions import VERB_TO_ACTION, Action
 from .engine import AuthzEngine, DecisionReason
 from .errors import DocumentSyntaxError, StorageError, StructureError, TokenError
-from .model import _decimal, _load_yaml
+from .model import _canonical_int, _decimal, _load_yaml
 from .rules import GroupRuleSet, default_rule_set, load_rules
 from .store import AclStore, ObjectStore
 from .tokens import verify_token
@@ -250,9 +250,8 @@ class ReferenceService:
             template, object_id, verbs = path, None, ("post", "get")
         else:
             template, _, tail = path.rpartition("/")
-            object_id = _decimal(tail)
-            if template not in self.templates or object_id is None \
-                    or str(object_id) != tail:
+            object_id = _canonical_int(tail)
+            if template not in self.templates or object_id is None:
                 return _error(404, "unknown_route")
             verbs = ("get", "put", "delete")
         if method not in verbs:
@@ -324,7 +323,7 @@ def _parse_body(body: bytes | None) -> dict | None:
         return {}
     try:
         parsed = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         return None
     return parsed if isinstance(parsed, dict) else None
 

@@ -114,7 +114,7 @@ def verify_token(raw: str, key: bytes, now: float) -> AuthToken:
 def _decode_json(part: str) -> dict:
     try:
         decoded = json.loads(_b64url_decode(part).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TokenInvalid(f"undecodable token part: {exc}") from exc
     if not isinstance(decoded, dict):
         raise TokenInvalid("token part is not a JSON object")

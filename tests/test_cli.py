@@ -2,11 +2,15 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bola_guard
 from bola_guard import verify_token
 from bola_guard.cli import main
 from bola_guard.generator import MANIFEST_NAME, render_stub
@@ -294,6 +298,81 @@ class TestUsage:
 
     def test_no_arguments_exits_2(self, capsys):
         assert main([]) == 2
+
+
+class TestDeepNesting:
+    """A text nested past the recursion limit is refused with the decoder's
+    usual error on every decode path, where libyaml's composer would
+    overflow the C stack and the pure-Python one and ``json`` raise
+    RecursionError. Each runs in a child process, so a crash fails the test
+    and not the run."""
+
+    DEPTH = 50_000
+    NEST = "[" * DEPTH + "]" * DEPTH
+    YAML = {
+        "libyaml": "openapi: 3.0.0\npaths: {}\nx: " + NEST + "\n",
+        "pure": 'openapi: 3.0.0\npaths: {}\ny: "!"\nx: ' + NEST + "\n",
+        "libyaml-after-a-merge-key":
+            "openapi: 3.0.0\npaths: {}\nm: &b {a: 1}\nn: {<<: *b}\nx: "
+            + NEST + "\n",
+        # Within the bound, but past the pure composer's recursion limit.
+        "pure-after-a-tag": "openapi: 3.0.0\npaths: {}\ny: !!str a\nx: "
+                            + "[" * 900 + "]" * 900 + "\n",
+    }
+
+    @staticmethod
+    def _child(code: str, argument: str) -> str:
+        src = str(Path(bola_guard.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code, argument], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0 and "Traceback" not in done.stderr, \
+            (done.returncode, done.stderr[-2000:])
+        return done.stdout
+
+    def _exit_codes(self, *argvs: list[str]) -> str:
+        return self._child(
+            "import json, sys\nfrom bola_guard.cli import main\n"
+            "print([main(argv) for argv in json.loads(sys.argv[1])])",
+            json.dumps(argvs))
+
+    def _spec_exit_codes(self, spec: Path) -> str:
+        return self._exit_codes(*([command, str(spec)] for command in
+                                  ("validate", "classify", "roundtrip")))
+
+    @pytest.mark.parametrize("decoder", list(YAML))
+    def test_a_deep_yaml_document_exits_3(self, tmp_path, decoder):
+        spec = tmp_path / "deep.yaml"
+        spec.write_text(self.YAML[decoder], encoding="utf-8")
+        assert self._spec_exit_codes(spec) == "[3, 3, 3]\n"
+
+    def test_a_deep_json_document_or_manifest_exits_3(self, tmp_path):
+        depth = 2 * self.DEPTH
+        nest = "[" * depth + "]" * depth
+        spec = tmp_path / "deep.json"
+        spec.write_text('{"openapi": "3.0.0", "paths": {}, "x": ' + nest + "}",
+                        encoding="utf-8")
+        assert self._spec_exit_codes(spec) == "[3, 3, 3]\n"
+        (tmp_path / MANIFEST_NAME).write_text('{"routes": ' + nest + "}",
+                                              encoding="utf-8")
+        assert self._exit_codes(["gen-spec", str(tmp_path), "-o",
+                                 str(tmp_path / "out.yaml")]) == "[3]\n"
+
+    # The pure loader's case is the CLI test's: its scanner takes about a
+    # second to reach the bound.
+    @pytest.mark.parametrize("decoder", ["libyaml", "libyaml-after-a-merge-key"])
+    def test_a_deep_rule_file_or_config_is_their_usual_error(self, tmp_path,
+                                                            decoder):
+        path = tmp_path / "deep.yaml"
+        path.write_text(self.YAML[decoder], encoding="utf-8")
+        assert self._child(
+            "import sys\nfrom bola_guard.rules import load_rules\n"
+            "from bola_guard.service import ServiceConfig\n"
+            "for load in (load_rules, ServiceConfig.load):\n"
+            "    try:\n        load(sys.argv[1])\n"
+            "    except Exception as exc:\n        print(type(exc).__name__)\n",
+            str(path)) == "RuleSetError\nDocumentSyntaxError\n"
 
 
 class TestServeConfig:

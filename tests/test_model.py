@@ -1,4 +1,5 @@
 import math
+import sys
 from unittest import mock
 
 import pytest
@@ -17,14 +18,16 @@ from bola_guard import (
     parse_document,
     resolve_ref,
 )
+from bola_guard import model
 from bola_guard.model import (
     _load_yaml,
+    _loader_for,
     build_document,
     canonicalize_tree,
     scheme_for_ref,
 )
 
-from conftest import CORPUS, fixture_doc, fixture_text
+from conftest import CORPUS, FIXTURES, fixture_doc, fixture_text
 
 
 class TestParse:
@@ -228,6 +231,8 @@ paths:
         "#/paths/~1pet/get/parameters/first",    # not an index
         "#/paths/~1pet/get/parameters/0/in/x",   # into a scalar
         "#/paths/~1pet/get/responses/404",       # an integer key that is absent
+        "#/paths/~1pet/get/parameters/00",       # RFC 6901: no leading zero
+        "#/paths/~1pet/get/responses/0200",      # not the key's spelling
         "#/paths/~1pet/get/parameters/\u00b2",   # a digit to isdigit, not to int
         "#/paths/~1pet/get/responses/\u00b2",
         "#/paths/~1pet/get/parameters/\u0660",   # a non-ASCII decimal
@@ -604,3 +609,163 @@ class TestYamlLoaders:
         with_libyaml = verdict()
         monkeypatch.delattr(yaml, "CSafeLoader")
         assert verdict() == with_libyaml
+
+
+
+# One text for each reason the event builder leaves a text to ``yaml.load``.
+_DEFERRED = [
+    "base: &b {a: 1}\nd:\n  <<: *b\n  c: 2\n",  # a merge key
+    "a: =\n",                                   # a tag with no constructor
+    "=: a\n",
+    "a: !!str 12\n",                            # an explicit tag
+    "a: !!map {b: 1}\n",
+    "a: &x [1, *x]\n",                          # an alias to an open anchor
+    "a: *nowhere\n",                            # to an undefined one
+    "a: &x 1\nb: &x 2\n",                       # a repeated anchor
+    "a: &x {b: 1}\nc: &x [2]\n",
+    "a: &x [&x 1]\n",                           # one inside its namesake
+    "? [a]\n: b\n",                             # a collection as a key
+    "a: &x [1]\n*x : b\n",
+    "a: 1\n---\nb: 2\n",                        # a second document
+    "a: 2001-13-45\nb: [\n",                    # a scalar with no such date
+    "a: [1\n",                                  # malformed text
+]
+# Without and with libyaml, as ``yaml.CSafeLoader``, where ``_load_yaml``
+# looks for it.
+_BUILDS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader")
+                               else [])
+
+
+def _outcome(decode, text):
+    """What ``decode(text)`` gives: its tree, or its error's type and text
+    (libyaml's ``UnicodeEncodeError`` is the YAMLError ``_load_yaml`` makes)."""
+    try:
+        return decode(text), None
+    except UnicodeEncodeError as exc:
+        return None, (yaml.YAMLError, f"unencodable character: {exc}")
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_same_tree(built, loaded):
+    """``built`` is ``loaded`` node for node, with the same types (True is no
+    1) and the same sharing: one collection reached twice in one tree is one
+    collection reached twice in the other."""
+    twins: dict[int, object] = {}       # id of a collection -> its twin
+
+    def walk(a, b):
+        assert type(a) is type(b), (a, b)
+        if not isinstance(a, (dict, list)):
+            assert a == b or a != a and b != b, (a, b)      # NaN is NaN
+            return
+        if id(a) in twins or id(b) in twins:
+            assert twins.get(id(a)) is b and twins.get(id(b)) is a
+            return                      # seen, as a recursive one will be
+        twins[id(a)], twins[id(b)] = b, a
+        assert len(a) == len(b)
+        if isinstance(a, dict):
+            for (key_a, value_a), (key_b, value_b) in zip(a.items(), b.items()):
+                walk(key_a, key_b)
+                walk(value_a, value_b)
+        else:
+            for value_a, value_b in zip(a, b):
+                walk(value_a, value_b)
+    walk(built, loaded)
+
+
+def _assert_decodes_as_yaml_load(text):
+    for libyaml in _BUILDS:
+        with mock.patch.object(yaml, "CSafeLoader", libyaml, create=True):
+            loader = _loader_for(text)
+            built, error = _outcome(_load_yaml, text)
+            loaded, expected = _outcome(
+                lambda t: yaml.load(t, Loader=loader), text)
+        assert error == expected
+        _assert_same_tree(built, loaded)
+
+
+_PUNCTUATION = st.text(alphabet="[]{}:,-?&*!|>'\"#%@`~ \n\tab01.", max_size=40)
+
+
+class TestEventBuilder:
+    """``_load_yaml`` builds from the parser's events the tree, or raises the
+    error, that ``yaml.load`` does with the loader it picks, on every build."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.yaml")))
+    def test_fixtures_decode_as_yaml_load_does(self, name):
+        _assert_decodes_as_yaml_load(fixture_text(name))
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML was built without libyaml")
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.yaml")),
+                             ids=lambda path: path.stem)
+    def test_no_fixture_composes_a_node_graph(self, path):
+        with mock.patch.object(model.yaml, "load", wraps=yaml.load) as load:
+            parse_document(path.read_text(encoding="utf-8"))
+        assert load.call_count == 0
+
+    @pytest.mark.parametrize("text", _DEFERRED)
+    def test_what_the_builder_leaves_yaml_load_decides(self, text):
+        _assert_decodes_as_yaml_load(text)
+        with mock.patch.object(model.yaml, "load", wraps=yaml.load) as load:
+            _outcome(_load_yaml, text)
+        assert load.call_count == 1
+
+    def test_an_alias_is_the_object_its_anchor_names(self):
+        tree = _load_yaml("a: &x {b: [1]}\nc: *x\nd: [*x]\n")
+        assert tree["c"] is tree["a"] and tree["d"][0] is tree["a"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_merged_documents())
+    def test_anchors_merge_keys_and_tricky_scalars(self, text):
+        _assert_decodes_as_yaml_load(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(_scalars, _scalars), max_size=5),
+           st.sampled_from(["{}: {}", "- {}\n- {}", "- {{{}: {}}}"]))
+    def test_tricky_scalars_as_keys_and_items(self, pairs, shape):
+        _assert_decodes_as_yaml_load(
+            "".join(shape.format(*pair) + "\n" for pair in pairs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_trees, st.sampled_from([None, False, True]))
+    def test_emitted_documents_with_a_shared_node(self, tree, flow):
+        shared = [tree, tree]       # a repeated node is emitted as an alias
+        _assert_decodes_as_yaml_load(yaml.safe_dump(
+            {"doc": tree, "shared": shared}, default_flow_style=flow,
+            allow_unicode=True))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=30) | _PUNCTUATION)
+    @example("a: \udc80")                         # libyaml cannot encode it
+    @example("a: 2001-13-45")                     # a timestamp with no date
+    def test_any_short_text(self, text):
+        _assert_decodes_as_yaml_load(text)
+
+
+class TestNestingDepth:
+    """Collections nested past the recursion limit are a YAMLError, raised
+    before a recursive loader can see the text."""
+
+    LIMIT = sys.getrecursionlimit()
+
+    @pytest.mark.parametrize("libyaml", _BUILDS)
+    def test_the_limit_is_the_deepest_a_document_nests(self, libyaml):
+        with mock.patch.object(yaml, "CSafeLoader", libyaml, create=True):
+            deepest = _load_yaml("[" * self.LIMIT + "]" * self.LIMIT)
+            for _ in range(self.LIMIT - 1):
+                deepest = deepest[0]
+            assert deepest == []
+            with pytest.raises(yaml.YAMLError, match="nested over"):
+                _load_yaml("[" * (self.LIMIT + 1) + "]" * (self.LIMIT + 1))
+
+    def test_the_limit_holds_past_a_deferral(self):
+        with pytest.raises(yaml.YAMLError, match="nested over"):
+            _load_yaml("a: {<<: {c: 1}}\nb: " + "[" * 5000 + "]" * 5000)
+
+    def test_a_recursive_loaders_recursion_error_is_a_yaml_error(self):
+        # A real one would stop the tracer under .github/untested_lines.py;
+        # test_cli's TestDeepNesting runs one in a child process.
+        with mock.patch.object(model.yaml, "load", side_effect=RecursionError):
+            with pytest.raises(yaml.YAMLError, match="nested too deep"):
+                _load_yaml("a: !!str x\n")

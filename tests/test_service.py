@@ -140,6 +140,13 @@ class TestCreateFlow:
             "POST", "/pet", {"api_key": token("1", {"G21"})}, b"{broken")
         assert response.status == 400
 
+    def test_a_body_nested_past_the_recursion_limit_is_400(self, service):
+        response = service.handle_request(
+            "POST", "/pet", {"api_key": token("1", {"G21"})},
+            b"[" * 100_000 + b"]" * 100_000)
+        assert (response.status, response.body["reason"]) == \
+            (400, "invalid_body")
+
 
 class TestObjectAccess:
     def test_owner_update_and_read(self, service):

@@ -53,6 +53,12 @@ class TestIssueAndVerify:
         with pytest.raises(TokenInvalid):
             verify_token("a.b.c.d", KEY, now=NOW)
 
+    def test_a_header_nested_past_the_recursion_limit_is_rejected(self):
+        # The header is decoded before the signature is checked.
+        header = base64.urlsafe_b64encode(b"[" * 100_000 + b"]" * 100_000)
+        with pytest.raises(TokenInvalid, match="undecodable"):
+            verify_token(f"{header.decode().rstrip('=')}.e30.sig", KEY, now=NOW)
+
     def test_non_positive_ttl_is_rejected(self):
         with pytest.raises(ValueError):
             issue_token("123", "alice", set(), 0, KEY, now=NOW)

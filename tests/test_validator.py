@@ -78,6 +78,21 @@ class TestValidate:
         codes = [f.code for f in validate(broken)]
         assert codes == ["E-DANGLING-REF"]
 
+    @pytest.mark.parametrize("segments, codes", [
+        ("x-ids/0", []), ("x-ids/00", ["E-DANGLING-REF"]),
+        ("x-codes/200", []), ("x-codes/0200", ["E-DANGLING-REF"]),
+    ])
+    def test_an_index_or_integer_key_is_reached_only_by_its_spelling(
+            self, root_doc, segments, codes):
+        def point_at_copies_of_id(tree):
+            pet = tree["components"]["schemas"]["Pet"]
+            pet["x-ids"] = [dict(pet["properties"]["id"])]
+            pet["x-codes"] = {200: dict(pet["properties"]["id"])}
+            pet["x-objectAuth"]["object"]["$ref"] = \
+                f"#/components/schemas/Pet/{segments}"
+        doc = mutate(root_doc, point_at_copies_of_id)
+        assert [f.code for f in validate(doc)] == codes
+
     def test_invalid_scope_action_key_is_flagged(self, root_doc):
         def add_patch(tree):
             methods = tree["components"]["schemas"]["Pet"]["x-objectAuth"][
