@@ -5,8 +5,8 @@ class BolaGuardError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DocumentSyntaxError(BolaGuardError):
-    """Input text is not well-formed YAML/JSON."""
+class DocumentSyntaxError(BolaGuardError, ValueError):
+    """Input text is not UTF-8, not well-formed YAML/JSON, or nested too deep."""
 
 
 class StructureError(BolaGuardError):

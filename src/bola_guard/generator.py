@@ -61,6 +61,7 @@ from .model import (
     EssDocument,
     ObjectAuthBinding,
     build_document,
+    decode,
     scheme_for_ref,
     _escape_pointer,
     _unescape_pointer,
@@ -126,8 +127,8 @@ class StubManifest:
         another shape. ``version`` and ``module_includes`` are written for
         readers and not read back; the latter must still be an array."""
         try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+            payload = decode(text, "json")
+        except DocumentSyntaxError as exc:
             raise DocumentSyntaxError(f"{MANIFEST_NAME}: {exc}") from exc
         routes = []
         for entry in _field(payload, "routes", list, "the manifest", []):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import copy
 import json
 import re
-import sys
 import urllib.parse
 from dataclasses import dataclass, field
 from enum import Enum
@@ -306,11 +305,47 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
 # Parsing
 
 
+# How deep collections may nest in what :func:`decode` takes: every recursive
+# reader of a tree (``yaml.safe_dump`` overflows at ~326) has frames to spare.
+MAX_DEPTH = 256
 # A block scalar header with a comment right after it, as in ``a: |#c``.
 _HEADER_COMMENT = re.compile(r"[|>][-+0-9]*#")
 # ``_build``'s mark for a node or text that ``yaml.load`` must decide, and
 # for an anchor whose collection is still open.
 _DEFER = object()
+
+
+def decode(text: str | bytes, format: str = "yaml") -> Any:
+    """The tree YAML or JSON ``text`` (bytes: UTF-8) spells; else
+    :class:`DocumentSyntaxError` for text that is not UTF-8, is malformed or
+    nests over :data:`MAX_DEPTH`, a bound that holds on any build or limit."""
+    if format not in ("yaml", "json"):
+        raise ValueError(f"format must be 'yaml' or 'json', got {format!r}")
+    try:
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        if format == "json":
+            tree, walk = json.loads(text), text.count("[") + text.count("{") > MAX_DEPTH
+        else:   # an alias can nest its anchor's collection deeper than the text
+            tree, walk = _load_yaml(text), "*" in text
+        if walk and _nests_over(tree, MAX_DEPTH):
+            raise ValueError(f"collections nested over {MAX_DEPTH} deep")
+    # ValueError: also no such date, or a character libyaml cannot encode.
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        raise DocumentSyntaxError(f"malformed {format}: {exc}") from exc
+    return tree
+
+
+def _nests_over(tree: Any, depth: int) -> bool:
+    """Whether ``tree`` nests collections over ``depth`` deep (a cycle does),
+    walked a level at a time up to the first empty one."""
+    level = {id(tree): tree} if isinstance(tree, (dict, list)) else {}
+    for _ in range(depth):
+        if not level:
+            return False
+        level = {id(child): child for node in level.values()
+                 for child in (node.values() if isinstance(node, dict) else node)
+                 if isinstance(child, (dict, list))}
+    return bool(level)
 
 
 def _loader_for(text: str) -> type:
@@ -326,35 +361,25 @@ def _loader_for(text: str) -> type:
 
 
 def _load_yaml(text: str) -> Any:
-    """Decode YAML text as ``yaml.load`` with :func:`_loader_for`'s loader
-    does, but from the parser's events, composing no node graph; malformed
-    text raises :class:`yaml.YAMLError`. Where :func:`_build` builds no tree
-    (a merge key or explicit tag, an undefined, repeated or still-open
-    anchor, a collection as a key, a date that does not exist, a second
-    document, a syntax error), ``yaml.load`` decides, and its verdict and
-    message stand. Collections
-    nested over ``sys.getrecursionlimit()`` deep are refused before that:
-    libyaml's composer recurses on the C stack, the pure one in Python."""
+    """What ``yaml.load`` with :func:`_loader_for`'s loader gives or raises,
+    built from the parser's events with no node graph. Where :func:`_build`
+    builds no tree (a merge key or explicit tag, an undefined, repeated or
+    open anchor, a collection as a key, a date that does not exist, a second
+    document, a syntax error), ``yaml.load`` decides; but collections nested
+    over :data:`MAX_DEPTH` deep are a ``YAMLError`` before any composer."""
     loader = _loader_for(text)
+    parser = loader(text)
     try:
-        parser = loader(text)
-        try:
-            tree = _build(parser)
-        finally:
-            parser.dispose()
-        return yaml.load(text, Loader=loader) if tree is _DEFER else tree
-    except UnicodeEncodeError as exc:
-        # libyaml reads UTF-8: a lone surrogate, which the pure reader rejects.
-        raise yaml.YAMLError(f"unencodable character: {exc}") from exc
-    except RecursionError as exc:   # the pure composer, past ~490 levels
-        raise yaml.YAMLError(f"nested too deep: {exc}") from exc
+        tree = _build(parser)
+    finally:
+        parser.dispose()
+    return yaml.load(text, Loader=loader) if tree is _DEFER else tree
 
 
 def _build(parser: Any) -> Any:
     """The tree ``parser``'s events spell, or ``_DEFER``. A plain scalar is
     typed by the loader's own resolver and constructor, and an alias is the
     very object its anchor names. After a deferral it only counts depth."""
-    limit = sys.getrecursionlimit()
     resolve, constructors = parser.resolve, parser.yaml_constructors
     str_tag, tags = parser.DEFAULT_SCALAR_TAG, {}   # plain scalar -> its tag
     anchors: dict[str, Any] = {}
@@ -388,8 +413,8 @@ def _build(parser: Any) -> Any:
         elif kind is AliasEvent:
             node = anchors.get(event.anchor, _DEFER)
         elif kind is MappingStartEvent or kind is SequenceStartEvent:
-            if len(enclosing) >= limit:
-                raise yaml.YAMLError(f"collections nested over {limit} deep")
+            if len(enclosing) >= MAX_DEPTH:
+                raise yaml.YAMLError(f"collections nested over {MAX_DEPTH} deep")
             deferred |= event.tag is not None or event.anchor in anchors
             if event.anchor is not None:
                 anchors[event.anchor] = _DEFER
@@ -417,19 +442,11 @@ def parse_document(text: str, format: str = "yaml") -> EssDocument:
     """Parse serialized YAML/JSON into an :class:`EssDocument`.
 
     Extension nodes are identified (any key casing) and typed; everything else
-    is retained opaquely. Raises :class:`DocumentSyntaxError` for malformed
-    text and :class:`StructureError` for non-3.x documents or extension usage
-    pointing at sections that do not exist.
+    is retained opaquely. Raises :class:`DocumentSyntaxError` for text that
+    :func:`decode` refuses and :class:`StructureError` for non-3.x documents
+    or extension usage pointing at sections that do not exist.
     """
-    if format not in ("yaml", "json"):
-        raise ValueError(f"format must be 'yaml' or 'json', got {format!r}")
-    try:
-        if format == "json":
-            tree = json.loads(text)
-        else:
-            tree = _load_yaml(text)
-    except (yaml.YAMLError, json.JSONDecodeError, RecursionError) as exc:
-        raise DocumentSyntaxError(f"malformed {format} document: {exc}") from exc
+    tree = decode(text, format)
     if tree is None:
         tree = {}
     if not isinstance(tree, dict):

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable
 
-import yaml
-
 from .actions import Action, parse_action
-from .errors import RuleSetError
-from .model import _load_yaml
+from .errors import DocumentSyntaxError, RuleSetError
+from .model import decode
 
 
 @dataclass(frozen=True)
@@ -89,11 +87,10 @@ _RULE_FIELDS = {"path": str, "group": str, "actions": list, "ownership": bool}
 def load_rules(path: str | Path) -> GroupRuleSet:
     """Load a rule file (YAML or JSON list of rule objects); ``ownership``
     defaults to true, and any other shape is a :class:`RuleSetError`."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = _load_yaml(text)
-    except yaml.YAMLError as exc:
-        raise RuleSetError(f"malformed rule file {path}: {exc}") from exc
+        data = decode(Path(path).read_text(encoding="utf-8"))
+    except DocumentSyntaxError as exc:
+        raise RuleSetError(f"rule file {path}: {exc}") from exc
     if data is None:
         data = []
     if not isinstance(data, list):

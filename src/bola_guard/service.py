@@ -65,12 +65,10 @@ from pathlib import Path
 from typing import Any, Callable
 from urllib.parse import urlsplit
 
-import yaml
-
 from .actions import VERB_TO_ACTION, Action
 from .engine import AuthzEngine, DecisionReason
 from .errors import DocumentSyntaxError, StorageError, StructureError, TokenError
-from .model import _canonical_int, _decimal, _load_yaml
+from .model import MAX_DEPTH, _canonical_int, _decimal, _nests_over, decode
 from .rules import GroupRuleSet, default_rule_set, load_rules
 from .store import AclStore, ObjectStore
 from .tokens import verify_token
@@ -115,18 +113,15 @@ class ServiceConfig:
     def load(cls, path: str | Path) -> "ServiceConfig":
         """Read a YAML config file; a missing or null key takes its default."""
         try:
-            data = _load_yaml(Path(path).read_text(encoding="utf-8"))
-        except yaml.YAMLError as exc:
-            raise DocumentSyntaxError(f"malformed config file {path}: {exc}") from exc
+            data = decode(Path(path).read_text(encoding="utf-8"))
+        except DocumentSyntaxError as exc:
+            raise DocumentSyntaxError(f"config file {path}: {exc}") from exc
         if data is None:
             data = {}
         if not isinstance(data, dict):
             raise StructureError(f"config file {path} must contain a mapping")
-        try:
-            port = int(data.get("port", 8080))
-        except (TypeError, ValueError):
-            port = -1
-        if not 0 <= port <= 65535:
+        port = 8080 if data.get("port") is None else data["port"]
+        if type(port) is not int or not 0 <= port <= 65535:
             raise StructureError(f"config file {path}: port must be an "
                                  f"integer from 0 to 65535")
         strings = {key: data[key] for key in ("host", "key_path", "rules_path",
@@ -322,10 +317,12 @@ def _parse_body(body: bytes | None) -> dict | None:
     if body is None or not body.strip():
         return {}
     try:
-        parsed = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        parsed = decode(body, "json")
+    except DocumentSyntaxError:
         return None
-    return parsed if isinstance(parsed, dict) else None
+    # The object's journal record nests a level deeper and must decode too.
+    return parsed if isinstance(parsed, dict) \
+        and not _nests_over(parsed, MAX_DEPTH - 1) else None
 
 
 # ---------------------------------------------------------------------------

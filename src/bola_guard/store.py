@@ -47,6 +47,7 @@ from typing import Generic, TypeVar
 
 from .acl import AccessControlEntry
 from .errors import CorruptJournalError, NoSuchObjectError, StorageError
+from .model import decode
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +115,7 @@ class JournalStore(Generic[T]):
     def _line(self, record: dict) -> tuple[str, tuple[str, int, T | None]]:
         """The journal line of ``record`` and what replay reads back from it."""
         line = json.dumps(record)
-        return line, self._read(json.loads(line))
+        return line, self._read(decode(line, "json"))
 
     # Replay ---------------------------------------------------------------
 
@@ -132,8 +133,8 @@ class JournalStore(Generic[T]):
                 offset += len(raw)
                 continue
             try:
-                record = json.loads(raw.decode("utf-8"))
-            except ValueError:      # UnicodeDecodeError is one too
+                record = decode(raw, "json")
+            except ValueError:      # DocumentSyntaxError is one
                 record = None
             if not isinstance(record, dict) or not terminated:
                 # A record is committed only once newline-terminated; an

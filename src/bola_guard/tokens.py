@@ -10,7 +10,6 @@ base64 slack bits. Clocks are always passed in explicitly.
 from __future__ import annotations
 
 import base64
-import binascii
 import hashlib
 import hmac
 import json
@@ -18,20 +17,13 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import TokenExpired, TokenInvalid
+from .model import decode
 
 _HEADER = {"alg": "HS256", "typ": "JWT"}
 
 
 def _b64url(data: bytes) -> str:
     return base64.urlsafe_b64encode(data).rstrip(b"=").decode("ascii")
-
-
-def _b64url_decode(text: str) -> bytes:
-    padded = text + "=" * (-len(text) % 4)
-    try:
-        return base64.urlsafe_b64decode(padded.encode("ascii"))
-    except (binascii.Error, UnicodeEncodeError, ValueError) as exc:
-        raise TokenInvalid(f"invalid base64url segment: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -90,21 +82,15 @@ def verify_token(raw: str, key: bytes, now: float) -> AuthToken:
         raise TokenInvalid("signature mismatch")
 
     claims = _decode_json(claims_part)
-    try:
-        user_id = claims["user_id"]
-        user_name = claims["user_name"]
-        groups = claims["groups"]
-        expiry = float(claims["exp"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TokenInvalid(f"claims are incomplete or ill-typed: {exc}") from exc
-    if not isinstance(user_id, str) or not isinstance(user_name, str):
-        raise TokenInvalid("user_id and user_name claims must be strings")
-    # A string would otherwise pass as an iterable of one-letter groups.
-    if not isinstance(groups, list) or not all(isinstance(g, str) for g in groups):
-        raise TokenInvalid("groups claim must be a list of strings")
-    # NaN would never compare as expired, and infinity never expires.
-    if not math.isfinite(expiry):
-        raise TokenInvalid("exp claim must be a finite number")
+    user_id, user_name = claims.get("user_id"), claims.get("user_name")
+    groups, expiry = claims.get("groups"), claims.get("exp")
+    # groups is a list, or a string would pass as one-letter groups; exp is a
+    # NumericDate (RFC 7519 §2), a number and no bool, and finite: NaN would
+    # never compare as expired, and infinity never expires.
+    if not (isinstance(user_id, str) and isinstance(user_name, str)
+            and isinstance(groups, list) and all(isinstance(g, str) for g in groups)
+            and type(expiry) in (int, float) and -math.inf < expiry < math.inf):
+        raise TokenInvalid("claims are incomplete or ill-typed")
     if now >= expiry:
         raise TokenExpired(f"token expired at {expiry}")
     return AuthToken(user_id=user_id, user_name=user_name,
@@ -112,9 +98,10 @@ def verify_token(raw: str, key: bytes, now: float) -> AuthToken:
 
 
 def _decode_json(part: str) -> dict:
+    padded = part + "=" * (-len(part) % 4)
     try:
-        decoded = json.loads(_b64url_decode(part).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        decoded = decode(base64.urlsafe_b64decode(padded), "json")
+    except ValueError as exc:   # binascii.Error and DocumentSyntaxError are ones
         raise TokenInvalid(f"undecodable token part: {exc}") from exc
     if not isinstance(decoded, dict):
         raise TokenInvalid("token part is not a JSON object")

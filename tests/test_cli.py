@@ -6,14 +6,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import bola_guard
-from bola_guard import verify_token
+from bola_guard import (DocumentSyntaxError, RuleSetError, ServiceConfig,
+                        emit_document, load_rules, parse_document, verify_token)
+from bola_guard import service
 from bola_guard.cli import main
 from bola_guard.generator import MANIFEST_NAME, render_stub
+from bola_guard.model import MAX_DEPTH
 
 from conftest import CORPUS, FIXTURES, fixture_doc
 
@@ -301,11 +306,11 @@ class TestUsage:
 
 
 class TestDeepNesting:
-    """A text nested past the recursion limit is refused with the decoder's
-    usual error on every decode path, where libyaml's composer would
-    overflow the C stack and the pure-Python one and ``json`` raise
-    RecursionError. Each runs in a child process, so a crash fails the test
-    and not the run."""
+    """A text nested past ``MAX_DEPTH``, and past the recursion limit, is
+    refused with the decoder's usual error on every decode path, where
+    libyaml's composer would overflow the C stack and the pure-Python one
+    and ``json`` raise RecursionError. Each runs in a child process, so a
+    crash fails the test and not the run."""
 
     DEPTH = 50_000
     NEST = "[" * DEPTH + "]" * DEPTH
@@ -315,7 +320,7 @@ class TestDeepNesting:
         "libyaml-after-a-merge-key":
             "openapi: 3.0.0\npaths: {}\nm: &b {a: 1}\nn: {<<: *b}\nx: "
             + NEST + "\n",
-        # Within the bound, but past the pure composer's recursion limit.
+        # Past the pure composer's recursion limit.
         "pure-after-a-tag": "openapi: 3.0.0\npaths: {}\ny: !!str a\nx: "
                             + "[" * 900 + "]" * 900 + "\n",
     }
@@ -373,6 +378,65 @@ class TestDeepNesting:
             "    try:\n        load(sys.argv[1])\n"
             "    except Exception as exc:\n        print(type(exc).__name__)\n",
             str(path)) == "RuleSetError\nDocumentSyntaxError\n"
+
+
+def _with_frames(count: int, call):
+    """``call()`` run under ``count`` more frames."""
+    return call() if count == 0 else _with_frames(count - 1, call)
+
+
+class TestDeepDocuments:
+    """A document nested ``MAX_DEPTH`` deep runs through every command and
+    emission with frames to spare, in both formats; one level deeper is
+    exit 3 in both."""
+
+    PLACE = ("paths", "/pet", "post", "responses", "201", "x-deep")
+
+    def _spec(self, tmp_path, depth, fmt):
+        deep: list = []
+        for _ in range(depth - len(self.PLACE) - 1):  # the tree's levels
+            deep = [deep]
+        tree = _mutated(DOCUMENTS["petstore_root_level"], self.PLACE, deep)
+        spec = tmp_path / f"deep.{fmt}"
+        spec.write_text(json.dumps(tree) if fmt == "json"
+                        else yaml.safe_dump(tree), encoding="utf-8")
+        return spec
+
+    @pytest.mark.parametrize("fmt", ["yaml", "json"])
+    def test_the_deepest_document_runs_through_every_command(self, tmp_path,
+                                                            fmt):
+        spec = self._spec(tmp_path, MAX_DEPTH, fmt)
+
+        def run():
+            codes = [_exit_code([command, str(spec)])
+                     for command in ("validate", "classify", "roundtrip")]
+            doc = parse_document(spec.read_text(encoding="utf-8"), fmt)
+            again = [parse_document(emit_document(doc, out), out)
+                     for out in ("yaml", "json")]
+            return codes, again == [doc, doc]
+        assert _with_frames(150, run) == ([0, 0, 0], True)
+
+    @pytest.mark.parametrize("fmt", ["yaml", "json"])
+    def test_a_level_deeper_exits_3(self, tmp_path, fmt):
+        spec = self._spec(tmp_path, MAX_DEPTH + 1, fmt)
+        assert [_exit_code([command, str(spec)]) for command in
+                ("validate", "classify", "roundtrip")] == [3, 3, 3]
+
+
+class TestTypedScalars:
+    """A plain scalar that PyYAML's constructor refuses (a date that does not
+    exist) is each reader's syntax error, not a traceback."""
+
+    @pytest.mark.parametrize("line", ["x: 2001-13-45", "example: 2021-02-30"])
+    def test_a_date_that_does_not_exist_is_malformed_text(self, tmp_path, line):
+        path = tmp_path / "text.yaml"
+        path.write_text(f"openapi: 3.0.0\npaths: {{}}\n{line}\n",
+                        encoding="utf-8")
+        assert _exit_code(["validate", str(path)]) == 3
+        with pytest.raises(RuleSetError, match="month|day"):
+            load_rules(path)
+        with pytest.raises(DocumentSyntaxError, match="config file"):
+            ServiceConfig.load(path)
 
 
 class TestServeConfig:
@@ -463,6 +527,9 @@ class TestServeConfig:
 # replaced by an ill-typed one, or one key deleted.
 
 HOSTILE = (5, None, [1], {}, True, "", {"$ref": 5}, "a\ud800")
+# Plain scalars that PyYAML types: dates that do not exist, a NaN, a
+# sexagesimal integer and one past int()'s digit limit.
+TYPED_SCALARS = ("2001-13-45", "2021-02-30", ".nan", "1:30", "9" * 5000)
 DELETE = "<delete>"
 EXIT_CODES = {0, 1, 2, 3}
 
@@ -488,6 +555,16 @@ def _mutated(tree, place, value):
     return tree
 
 
+def _yaml_with(tree, place, value) -> str:
+    """``tree`` as JSON, which YAML reads, with the value at ``place``
+    replaced by ``value`` or deleted; a typed scalar is spelled plain."""
+    if value not in TYPED_SCALARS:
+        return json.dumps(_mutated(tree, place, value))
+    marker = "\u0000typed"
+    return json.dumps(_mutated(tree, place, marker)).replace(json.dumps(marker),
+                                                             value)
+
+
 def _exit_code(argv) -> int:
     """``main``'s exit code; nothing may escape it."""
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -504,6 +581,54 @@ DOCUMENT_PLACES = [(name, place) for name, tree in DOCUMENTS.items()
 STUBS = {name: render_stub(fixture_doc(name))[1] for name in CORPUS}
 MANIFEST_PLACES = [(name, place) for name, files in STUBS.items()
                    for place in _places(json.loads(files[MANIFEST_NAME]))]
+
+
+RULES = [{"path": "/pet", "group": "G21", "actions": ["create", "read"],
+          "ownership": True},
+         {"path": "/pet", "group": "G22", "actions": ["read"]}]
+RULE_PLACES = list(_places(RULES))
+CONFIG_KEYS = ("port", "host", "key_path", "rules_path", "journal_path",
+               "objects_path")
+
+
+class _NoServer:
+    """A ``make_server`` that binds nothing and whose serving ends at once."""
+
+    server_address = ("127.0.0.1", 0)
+
+    def __init__(self, *args):
+        pass
+
+    def serve_forever(self):
+        pass
+
+    def server_close(self):
+        pass
+
+
+@pytest.fixture(scope="module")
+def serve_dir(tmp_path_factory):
+    """A signing key, a valid rule file and the config that names them."""
+    root = tmp_path_factory.mktemp("serve")
+    (root / "key").write_bytes(b"k")
+    (root / "rules.yaml").write_text(json.dumps(RULES), encoding="utf-8")
+    config = {"port": 0, "host": "127.0.0.1", "key_path": str(root / "key"),
+              "rules_path": str(root / "rules.yaml"),
+              "journal_path": str(root / "acl.ndjson"),
+              "objects_path": str(root / "objects.ndjson")}
+    return root, config
+
+
+def _serve_exit_code(config: Path) -> int:
+    """``serve``'s exit code, run beside ``config``: a deleted journal path
+    takes the relative default."""
+    cwd = os.getcwd()
+    os.chdir(config.parent)
+    try:
+        with mock.patch.object(service, "make_server", _NoServer):
+            return _exit_code(["serve", "--config", str(config)])
+    finally:
+        os.chdir(cwd)
 
 
 @pytest.fixture(scope="module")
@@ -543,3 +668,32 @@ class TestGeneratedInputs:
             json.dumps(_mutated(manifest, place, value)), encoding="utf-8")
         assert _exit_code(["gen-spec", str(workdir / name), "-o",
                            str(workdir / "recovered.yaml")]) in EXIT_CODES
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(RULE_PLACES),
+           st.sampled_from(HOSTILE + TYPED_SCALARS + (DELETE,)))
+    def test_a_mutated_rule_file_gets_a_defined_exit_code(self, serve_dir,
+                                                          place, value):
+        root, config = serve_dir
+        rules = root / "mutated_rules.yaml"
+        rules.write_text(_yaml_with(RULES, place, value), encoding="utf-8")
+        path = root / "rules_config.yaml"
+        path.write_text(json.dumps({**config, "rules_path": str(rules)}),
+                        encoding="utf-8")
+        assert _serve_exit_code(path) in EXIT_CODES
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(CONFIG_KEYS),
+           st.sampled_from(HOSTILE + TYPED_SCALARS + (DELETE,)))
+    def test_a_mutated_config_gets_a_defined_exit_code(self, serve_dir, key,
+                                                       value):
+        root, config = serve_dir
+        path = root / "config.yaml"
+        path.write_text(_yaml_with(config, (key,), value), encoding="utf-8")
+        assert _serve_exit_code(path) in EXIT_CODES
+
+    def test_the_unmutated_files_serve(self, serve_dir):
+        root, config = serve_dir
+        path = root / "valid.yaml"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert _serve_exit_code(path) == 0

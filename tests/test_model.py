@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from unittest import mock
@@ -20,10 +21,12 @@ from bola_guard import (
 )
 from bola_guard import model
 from bola_guard.model import (
+    MAX_DEPTH,
     _load_yaml,
     _loader_for,
     build_document,
     canonicalize_tree,
+    decode,
     scheme_for_ref,
 )
 
@@ -573,12 +576,13 @@ class TestYamlLoaders:
     @given(st.text(st.characters(), max_size=40))
     @example("a: \udc80")                         # libyaml cannot encode it
     @example("key: value\t")                      # only libyaml accepts it
-    def test_any_text_decodes_or_raises_a_yaml_error(self, text):
+    @example("a: 2001-13-45")                     # a timestamp with no date
+    def test_any_text_decodes_or_raises_a_syntax_error(self, text):
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
             with mock.patch.object(yaml, "CSafeLoader", loader):
                 try:
-                    _load_yaml(text)
-                except yaml.YAMLError:
+                    decode(text)
+                except DocumentSyntaxError:
                     pass
 
     @pytest.mark.parametrize("name", CORPUS)
@@ -636,13 +640,10 @@ _BUILDS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader"
                                else [])
 
 
-def _outcome(decode, text):
-    """What ``decode(text)`` gives: its tree, or its error's type and text
-    (libyaml's ``UnicodeEncodeError`` is the YAMLError ``_load_yaml`` makes)."""
+def _outcome(load, text):
+    """What ``load(text)`` gives: its tree, or its error's type and text."""
     try:
-        return decode(text), None
-    except UnicodeEncodeError as exc:
-        return None, (yaml.YAMLError, f"unencodable character: {exc}")
+        return load(text), None
     except Exception as exc:
         return None, (type(exc), str(exc))
 
@@ -743,29 +744,118 @@ class TestEventBuilder:
         _assert_decodes_as_yaml_load(text)
 
 
-class TestNestingDepth:
-    """Collections nested past the recursion limit are a YAMLError, raised
-    before a recursive loader can see the text."""
+def _nested(depth: int, inner="[]") -> str:
+    """A flow collection nested ``depth`` deep: lists around ``inner``."""
+    return "[" * (depth - 1) + inner + "]" * (depth - 1)
 
-    LIMIT = sys.getrecursionlimit()
+
+def _accepts(text, format="yaml") -> bool:
+    try:
+        decode(text, format)
+    except DocumentSyntaxError:
+        return False
+    return True
+
+
+class TestNestingDepth:
+    """Collections nested over ``MAX_DEPTH`` deep are a DocumentSyntaxError in
+    both formats, on every build and at any recursion limit, raised before a
+    recursive loader sees a YAML text."""
 
     @pytest.mark.parametrize("libyaml", _BUILDS)
-    def test_the_limit_is_the_deepest_a_document_nests(self, libyaml):
+    def test_the_bound_is_the_deepest_a_yaml_text_nests(self, libyaml):
         with mock.patch.object(yaml, "CSafeLoader", libyaml, create=True):
-            deepest = _load_yaml("[" * self.LIMIT + "]" * self.LIMIT)
-            for _ in range(self.LIMIT - 1):
+            deepest = decode(_nested(MAX_DEPTH))
+            for _ in range(MAX_DEPTH - 1):
                 deepest = deepest[0]
             assert deepest == []
-            with pytest.raises(yaml.YAMLError, match="nested over"):
-                _load_yaml("[" * (self.LIMIT + 1) + "]" * (self.LIMIT + 1))
+            with pytest.raises(DocumentSyntaxError,
+                               match=f"nested over {MAX_DEPTH} deep"):
+                decode(_nested(MAX_DEPTH + 1))
 
-    def test_the_limit_holds_past_a_deferral(self):
-        with pytest.raises(yaml.YAMLError, match="nested over"):
-            _load_yaml("a: {<<: {c: 1}}\nb: " + "[" * 5000 + "]" * 5000)
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5000])
+    def test_the_bound_is_the_deepest_a_json_text_nests(self, depth):
+        assert decode(_nested(MAX_DEPTH, "{}"), "json") is not None
+        with pytest.raises(DocumentSyntaxError):
+            decode(_nested(depth, "{}"), "json")
 
-    def test_a_recursive_loaders_recursion_error_is_a_yaml_error(self):
+    def test_a_wide_json_text_is_no_deep_one(self):
+        wide = "[" + ", ".join(["[[]]"] * MAX_DEPTH) + "]"
+        assert len(decode(wide, "json")) == MAX_DEPTH
+
+    def test_the_bound_holds_past_a_deferral(self):
+        with pytest.raises(DocumentSyntaxError, match="nested over"):
+            decode("a: {<<: {c: 1}}\nb: " + _nested(5000) + "\n")
+
+    @pytest.mark.parametrize("libyaml", _BUILDS)
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
+    def test_a_merge_key_and_nesting_get_one_verdict_on_every_build(
+            self, libyaml, depth):
+        # The root mapping is the first level.
+        text = "m: {<<: {a: 1}}\nx: " + _nested(depth - 1) + "\n"
+        with mock.patch.object(yaml, "CSafeLoader", libyaml, create=True):
+            assert _accepts(text) == (depth == MAX_DEPTH)
+
+    def test_an_alias_that_nests_its_anchor_deeper_is_refused(self):
+        half = MAX_DEPTH // 2 + 1
+        text = f"a: &a {_nested(half)}\nb: {_nested(half, '*a')}\n"
+        with pytest.raises(DocumentSyntaxError, match="nested over"):
+            decode(text)
+        tree = decode(f"a: &a {_nested(half)}\nb: [*a, *a]\n")
+        assert tree["b"][0] is tree["b"][1] is tree["a"]
+
+    @pytest.mark.parametrize("text", ["a: &x [1, *x]\n", "a: &x {b: *x}\n"])
+    def test_a_recursive_alias_nests_without_end(self, text):
+        with pytest.raises(DocumentSyntaxError, match="nested over"):
+            decode(text)
+
+    @pytest.mark.parametrize("text, format", [
+        (_nested(MAX_DEPTH), "yaml"), (_nested(MAX_DEPTH + 1), "yaml"),
+        (_nested(MAX_DEPTH), "json"), (_nested(MAX_DEPTH + 1), "json"),
+        (_nested(2000), "json"),
+        ("m: {<<: {a: 1}}\nx: " + _nested(MAX_DEPTH - 1) + "\n", "yaml"),
+    ])
+    def test_a_verdict_does_not_hang_on_the_recursion_limit(self, text, format):
+        default = _accepts(text, format)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(5000)
+        try:
+            assert _accepts(text, format) == default
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_a_recursive_loaders_recursion_error_is_a_syntax_error(self):
         # A real one would stop the tracer under .github/untested_lines.py;
         # test_cli's TestDeepNesting runs one in a child process.
         with mock.patch.object(model.yaml, "load", side_effect=RecursionError):
-            with pytest.raises(yaml.YAMLError, match="nested too deep"):
-                _load_yaml("a: !!str x\n")
+            with pytest.raises(DocumentSyntaxError):
+                decode("a: !!str x\n")
+
+
+class TestDecode:
+    """``decode`` is the one reader of outside text: its one error is a
+    DocumentSyntaxError, which is also a ValueError."""
+
+    @pytest.mark.parametrize("text, format", [
+        (b"a: caf\xe9\n", "yaml"),               # not UTF-8
+        (b'{"a": "caf\xe9"}', "json"),
+        ("a: 2001-13-45\n", "yaml"),              # no such date
+        ("a: 2021-02-30\n", "yaml"),
+        ("a: " + "9" * 5000 + "\n", "yaml"),       # past int()'s digit limit
+        ('{"a": ' + "9" * 5000 + "}", "json"),
+        ("a: \ud800\n", "yaml"),                  # a lone surrogate
+        ("a: [1\n", "yaml"),
+        ('{"a": ', "json"),
+    ])
+    def test_what_is_refused_is_one_error(self, text, format):
+        with pytest.raises(DocumentSyntaxError) as refused:
+            decode(text, format)
+        assert isinstance(refused.value, ValueError)
+
+    def test_bytes_are_read_as_utf_8(self):
+        assert decode("a: caf\u00e9\n".encode()) == {"a": "caf\u00e9"}
+        assert decode(json.dumps({"a": [1]}).encode(), "json") == {"a": [1]}
+
+    def test_an_unknown_format_is_a_value_error(self):
+        with pytest.raises(ValueError, match="format"):
+            decode("{}", "toml")

@@ -18,6 +18,7 @@ import requests
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bola_guard import (
+    AccessControlEntry,
     AclStore,
     Action,
     CorruptJournalError,
@@ -28,7 +29,9 @@ from bola_guard import (
     ServiceConfig,
     default_rule_set,
     issue_token,
+    load_rules,
 )
+from bola_guard.model import MAX_DEPTH
 from bola_guard.service import (
     IDLE_TIMEOUT_S,
     MAX_BODY_BYTES,
@@ -146,6 +149,68 @@ class TestCreateFlow:
             b"[" * 100_000 + b"]" * 100_000)
         assert (response.status, response.body["reason"]) == \
             (400, "invalid_body")
+
+    def test_a_deep_body_is_stored_or_refused_and_never_a_500(self, tmp_path):
+        # A journal record nests one level deeper than its body, so the
+        # deepest body stored is MAX_DEPTH - 1; a refused body writes no line.
+        depths = [*range(MAX_DEPTH - 2, MAX_DEPTH + 3), *range(900, 1010)]
+        tok = token("1", {"G21"})
+        created = {}
+        service = build_service(tmp_path)
+        try:
+            for depth in depths:
+                body = (b'{"a": ' + b"[" * (depth - 1) + b"]" * (depth - 1)
+                        + b"}")
+                before = [(tmp_path / name).read_bytes()
+                          for name in ("acl.ndjson", "objects.ndjson")]
+                response = service.handle_request("POST", "/pet",
+                                                  {"api_key": tok}, body)
+                if depth < MAX_DEPTH:
+                    assert response.status == 201, depth
+                    created[response.body["id"]] = json.loads(body)
+                else:
+                    assert (response.status, response.body["reason"]) == \
+                        (400, "invalid_body"), depth
+                    assert [(tmp_path / name).read_bytes() for name in
+                            ("acl.ndjson", "objects.ndjson")] == before
+        finally:
+            service.close()
+        assert len(created) == 2
+        service = build_service(tmp_path)
+        try:
+            for object_id, body in created.items():
+                got = request(service, "GET", f"/pet/{object_id}", tok)
+                assert (got.status, got.body) == (200, {"id": object_id, **body})
+        finally:
+            service.close()
+
+    def test_an_update_nested_past_the_bound_is_400(self, service):
+        tok = token("1", {"G21"})
+        request(service, "POST", "/pet", tok, {"n": 1})
+        body = b"[" * MAX_DEPTH + b"]" * MAX_DEPTH
+        response = service.handle_request("PUT", "/pet/1", {"api_key": tok},
+                                          b'{"a": ' + body + b"}")
+        assert (response.status, response.body["reason"]) == (400, "invalid_body")
+        assert request(service, "GET", "/pet/1", tok).body == {"id": 1, "n": 1}
+
+
+class TestRuleFileDefaults:
+    def test_a_rule_without_ownership_requires_it(self, tmp_path):
+        rules = tmp_path / "rules.yaml"
+        rules.write_text("- {path: /pet, group: G21, actions: [read]}\n",
+                         encoding="utf-8")
+        service = build_service(tmp_path, rules=load_rules(rules))
+        try:
+            service.engine.store.put(
+                AccessControlEntry.for_new_object(1, "/pet", "alice"))
+            service.objects.put({"id": 1, "path": "/pet", "body": {"n": 1}})
+            stranger = request(service, "GET", "/pet/1", token("bob", {"G21"}))
+            assert (stranger.status, stranger.body["reason"]) == \
+                (403, "not_owner")
+            owner = request(service, "GET", "/pet/1", token("alice", {"G21"}))
+            assert (owner.status, owner.body) == (200, {"id": 1, "n": 1})
+        finally:
+            service.close()
 
 
 class TestObjectAccess:

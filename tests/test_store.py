@@ -18,6 +18,7 @@ from bola_guard import (
     ObjectStore,
     default_rule_set,
 )
+from bola_guard.model import MAX_DEPTH
 
 
 def ace(object_id, path="/pets", owner="123", ro=(), rw=None):
@@ -310,6 +311,111 @@ class TestObjectStore:
             fh.write(json.dumps(record) + "\n")
         with pytest.raises(CorruptJournalError, match="line 2"):
             ObjectStore.open(location)
+
+
+def _deep(depth: int) -> list:
+    """A list nested ``depth`` deep."""
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def _deep_json(depth: int) -> str:
+    """``json.dumps(_deep(depth))``, which past its recursion limit cannot."""
+    return "[" * depth + "]" * depth
+
+
+# A valid line of each journal, as a tree, and the JSON of a deep value.
+JOURNAL_LINES = {
+    AclStore: ace(2).to_record(),
+    ObjectStore: {"id": 2, "path": "/pets", "body": {"name": "rex"}},
+}
+DEEP_VALUES = [MAX_DEPTH - 2, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 5000]
+
+
+def _places(node, at=()):
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield at + (key,)
+        yield from _places(child, at + (key,))
+
+
+def _line_with(record: dict, place: tuple, depth: int) -> bytes:
+    """The JSON line of ``record`` with the value at ``place`` replaced by a
+    list nested ``depth`` deep."""
+    marker = "\u0000deep"
+    tree = json.loads(json.dumps(record))
+    node = tree
+    for key in place[:-1]:
+        node = node[key]
+    node[place[-1]] = marker
+    return json.dumps(tree).replace(json.dumps(marker), _deep_json(depth)).encode()
+
+
+@st.composite
+def _mutated_journals(draw):
+    """A journal of two valid records and one line whose value at some place
+    is a list nested about ``MAX_DEPTH`` or 5,000 deep, anywhere in the file,
+    its final newline kept or cut."""
+    store_class = draw(st.sampled_from(sorted(JOURNAL_LINES, key=str)))
+    record = JOURNAL_LINES[store_class]
+    place = draw(st.sampled_from(list(_places(record))))
+    line = _line_with(record, place, draw(st.sampled_from(DEEP_VALUES)))
+    valid = json.dumps(record).encode()
+    lines = [valid.replace(b'"id": 2', b'"id": 1'), valid]
+    lines.insert(draw(st.integers(0, 2)), line)
+    text = b"\n".join(lines)
+    return store_class, text if draw(st.booleans()) else text + b"\n"
+
+
+class TestDeepJournals:
+    """Opening a journal never raises RecursionError: a line nested past
+    ``MAX_DEPTH`` is a torn final record or a CorruptJournalError."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_mutated_journals())
+    def test_opening_builds_well_typed_entries_or_refuses(self, journal):
+        store_class, text = journal
+        with tempfile.TemporaryDirectory() as directory:
+            location = Path(directory) / "journal.ndjson"
+            location.write_bytes(text)
+            try:
+                store = store_class.open(location)
+            except CorruptJournalError:
+                return
+            with store:
+                for entry in store.entries():
+                    assert type(entry.id if store_class is AclStore
+                                else entry["id"]) is int
+
+    @pytest.mark.parametrize("store_class", [AclStore, ObjectStore])
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5000])
+    def test_a_line_nested_past_the_bound_is_torn_or_corrupt(
+            self, tmp_path, store_class, depth):
+        record = JOURNAL_LINES[store_class]
+        place = ("users_ro",) if store_class is AclStore else ("body", "name")
+        deep = _line_with(record, place, depth - len(place))  # the record's
+        location = tmp_path / "journal.ndjson"
+        location.write_bytes(deep + b"\n" + json.dumps(record).encode() + b"\n")
+        with pytest.raises(CorruptJournalError, match="line 1"):
+            store_class.open(location)
+        location.write_bytes(json.dumps(record).encode() + b"\n" + deep + b"\n")
+        with store_class.open(location) as store:
+            assert len(store) == 1
+        assert location.read_bytes() == json.dumps(record).encode() + b"\n"
+
+    def test_the_deepest_body_a_record_holds_reads_back(self, tmp_path):
+        location = tmp_path / "objects.ndjson"
+        deepest = {"id": 1, "path": "/pet", "body": {"a": _deep(MAX_DEPTH - 2)}}
+        with ObjectStore.open(location) as store:
+            store.put(deepest)
+            with pytest.raises(ValueError):
+                store.put({"id": 2, "path": "/pet",
+                           "body": {"a": _deep(MAX_DEPTH - 1)}})
+        with ObjectStore.open(location) as store:
+            assert store.entries() == [deepest]
 
 
 STEP_PATHS = ("/pets", "/users")

@@ -163,6 +163,22 @@ class TestClaimTypes:
         with pytest.raises(TokenInvalid, match="incomplete or ill-typed"):
             verify_token(signed(claims), KEY, now=NOW)
 
+    # exp is a NumericDate (RFC 7519 §2): float() would read these as
+    # 99999999999.0 and 1.0.
+    @pytest.mark.parametrize("exp", ["99999999999", True, False, [NOW + 60],
+                                     {"at": NOW + 60}])
+    def test_an_exp_that_is_not_a_number_is_rejected(self, exp):
+        with pytest.raises(TokenInvalid, match="incomplete or ill-typed"):
+            verify_token(signed({**self.CLAIMS, "exp": exp}), KEY, now=NOW)
+
+    @pytest.mark.parametrize("exp", [int(NOW) + 60, 10 ** 400])
+    def test_an_integer_exp_verifies(self, exp):
+        # 10 ** 400 is past any float, where float() would overflow.
+        verified = verify_token(signed({**self.CLAIMS, "exp": exp}), KEY, now=NOW)
+        assert verified.expiry == exp
+        with pytest.raises(TokenExpired):
+            verify_token(signed({**self.CLAIMS, "exp": int(NOW)}), KEY, now=NOW)
+
     def test_claims_that_are_json_but_not_an_object_are_rejected(self):
         with pytest.raises(TokenInvalid, match="not a JSON object"):
             verify_token(signed(["123", "alice"]), KEY, now=NOW)
