@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 validation errors / failed check, 2 usage error,
-3 I/O or document error. Every subcommand accepts ``--json`` for
-machine-readable output. The signing key path may come from the
+3 I/O or document error. Every subcommand but ``serve`` accepts ``--json``
+for machine-readable output. The signing key path may come from the
 ``BOLA_GUARD_KEY`` environment variable instead of ``--key``.
 ``acl grant`` and ``acl compact`` write the single-writer ACL journal: run
 them offline, never while a service holds it.
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run the reference service")
     p.add_argument("-c", "--config", required=True)
-    common(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("token", help="token utilities")

@@ -47,8 +47,6 @@ from pathlib import Path
 import yaml
 
 from .errors import (
-    CyclicRefError,
-    DanglingRefError,
     DocumentSyntaxError,
     MarkerSyntaxError,
     NoStubFoundError,
@@ -62,7 +60,6 @@ from .model import (
     ObjectAuthBinding,
     build_document,
     decode,
-    scheme_for_ref,
     _escape_pointer,
     _unescape_pointer,
 )
@@ -185,21 +182,16 @@ def manifest_from_document(doc: EssDocument) -> StubManifest:
     for path in sorted(doc.paths):
         item = doc.paths[path]
         methods = tuple(sorted(item.operations, key=VERB_ORDER.index))
-        attachment = None if item.binding is None else _wiring(doc, item.binding)
+        attachment = None if item.binding is None else _wiring(item.binding)
         routes.append(RouteSpec(path=path, methods=methods, object_auth=attachment))
     return StubManifest(tuple(routes))
 
 
-def _wiring(doc: EssDocument, binding: ObjectAuthBinding) -> ObjectAuthAttachment:
+def _wiring(binding: ObjectAuthBinding) -> ObjectAuthAttachment:
     """Runtime wiring of a binding; identical for both placements. The
     scheme is the one the validator checked; a binding whose scheme ref lands
     on no scheme (an error finding) is wired from its inline token, if any."""
-    scheme = None
-    if binding.scheme_ref is not None:
-        try:
-            scheme = scheme_for_ref(doc, binding.scheme_ref)
-        except (DanglingRefError, CyclicRefError):
-            pass
+    scheme = binding.scheme
     if scheme is not None:
         scheme_name, location = scheme.name, scheme.location
     else:
@@ -491,7 +483,7 @@ def ess_facts(doc: EssDocument) -> dict[str, str | None]:
     """Authorization facts preserved by a round trip: per path, the marker
     line of its wiring, or None when it is unbound."""
     return {path: None if item.binding is None
-            else _wiring(doc, item.binding).marker(path)
+            else _wiring(item.binding).marker(path)
             for path, item in doc.paths.items()}
 
 

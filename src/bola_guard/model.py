@@ -126,8 +126,13 @@ class ObjectAuthBinding:
     invalid_scope_keys: tuple[str, ...]
     groups: str | None              # the claims' type descriptors, resolved
     user_id: str | None
-    groups_ref: str | None = None   # scopes.groups / scopes.user_id refs
-    user_id_ref: str | None = None
+    scheme: SecurityScheme | None   # where scheme_ref lands, if on a scheme
+    # Where object_id_ref lands, None when it dangles; an opaque node, so
+    # left out of ==, hash() and repr().
+    object_target: Any = field(compare=False, repr=False)
+    # (kind, ref) of each ref that resolves to nothing; kind is "scheme",
+    # "object" or "claim".
+    dangling_refs: tuple[tuple[str, Any], ...]
 
     def structural_key(self) -> str:
         """Fingerprint used to detect structurally identical bindings."""
@@ -203,7 +208,7 @@ def _resolve(root: Mapping[str, Any], ref: str, base: str | None = None) -> Any:
             raise CyclicRefError(current)
         seen.add(normalized)
         node = _walk(root, normalized, original=current)
-        if isinstance(node, Mapping) and set(node.keys()) == {"$ref"}:
+        if isinstance(node, dict) and len(node) == 1 and "$ref" in node:
             current_base = _parent_pointer(normalized)
             current = node["$ref"]
             continue
@@ -218,19 +223,6 @@ def _absolute_pointer(ref: str, base: str | None) -> str:
     if base is None:
         raise DanglingRefError(ref, f"relative reference {ref!r} used without a base")
     return base.rstrip("/") + "/" + ref.lstrip("/")
-
-
-def scheme_for_ref(doc: EssDocument, ref: str) -> SecurityScheme | None:
-    """The security scheme ``ref`` lands on once its ``$ref`` chain is
-    followed (an alias entry, say), matched by node identity; None when it
-    lands on a node that is not a scheme. A dangling or cyclic chain raises
-    :class:`DanglingRefError` or :class:`CyclicRefError`."""
-    target = resolve_ref(doc, ref)
-    schemes = (doc.raw.get("components") or {}).get("securitySchemes") or {}
-    for name, node in schemes.items():
-        if node is target:
-            return doc.security_schemes[name]
-    return None
 
 
 def _parent_pointer(pointer: str) -> str:
@@ -274,7 +266,7 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
     node = root
     for raw_segment in fragment.lstrip("/").split("/"):
         segment = _unescape_pointer(raw_segment)
-        if isinstance(node, Mapping):
+        if isinstance(node, dict):
             if segment in node:
                 node = node[segment]
                 continue
@@ -310,6 +302,8 @@ def _walk(root: Any, pointer: str, original: str) -> Any:
 MAX_DEPTH = 256
 # A block scalar header with a comment right after it, as in ``a: |#c``.
 _HEADER_COMMENT = re.compile(r"[|>][-+0-9]*#")
+# A ``\u`` or ``\U`` escape of a surrogate, U+D800 to U+DFFF.
+_SURROGATE_ESCAPE = re.compile(r"\\(?:u|U0000)[dD][89a-fA-F]")
 # ``_build``'s mark for a node or text that ``yaml.load`` must decide, and
 # for an anchor whose collection is still open.
 _DEFER = object()
@@ -352,10 +346,12 @@ def _loader_for(text: str) -> type:
     """libyaml's loader when PyYAML was built with it, except where libyaml
     parts from the pure-Python loader: it accepts a tab after a plain scalar
     and a ``#`` right after a block scalar header, reads a bare ``!`` tag as
-    ``''``, not None, and refuses a U+FEFF past the start. There the pure
-    loader decides, and the verdict does not hang on the build."""
+    ``''``, not None, and refuses a U+FEFF past the start and an escaped
+    surrogate. There the pure loader decides, and the verdict does not hang
+    on the build."""
     pure = ("\t" in text or "!" in text or "\ufeff" in text
-            or (("|" in text or ">" in text) and _HEADER_COMMENT.search(text)))
+            or (("|" in text or ">" in text) and _HEADER_COMMENT.search(text))
+            or ("\\" in text and _SURROGATE_ESCAPE.search(text)))
     return yaml.SafeLoader if pure \
         else getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -468,16 +464,22 @@ def build_document(tree: dict) -> EssDocument:
     if not isinstance(components, dict):
         raise StructureError("'components' must be a mapping")
 
-    schemes = _parse_security_schemes(components.get("securitySchemes") or {})
-    schemas, by_node = _parse_schemas(tree, components.get("schemas") or {})
-    paths = _parse_paths(tree, by_node)
+    schemes, scheme_nodes = _parse_security_schemes(
+        components.get("securitySchemes") or {})
+    schemas, by_node = _parse_schemas(tree, scheme_nodes,
+                                      components.get("schemas") or {})
+    paths = _parse_paths(tree, scheme_nodes, by_node)
     return EssDocument(paths=paths, security_schemes=schemes, schemas=schemas, raw=tree)
 
 
-def _parse_security_schemes(node: Any) -> dict[str, SecurityScheme]:
+def _parse_security_schemes(node: Any) -> tuple[dict[str, SecurityScheme],
+                                                 dict[int, SecurityScheme]]:
+    """Each scheme by name, and by the ``id`` of its node (the first name's,
+    when an alias shares the node)."""
     if not isinstance(node, dict):
         raise StructureError("'components.securitySchemes' must be a mapping")
     schemes: dict[str, SecurityScheme] = {}
+    by_node: dict[int, SecurityScheme] = {}
     for name, body in node.items():
         if not isinstance(body, dict):
             raise StructureError(f"security scheme {name!r} must be a mapping")
@@ -496,7 +498,8 @@ def _parse_security_schemes(node: Any) -> dict[str, SecurityScheme]:
             x_groups=_descriptor(body.get(groups_key)) if groups_key else None,
             x_user_id=_descriptor(body.get(user_id_key)) if user_id_key else None,
         )
-    return schemes
+        by_node.setdefault(id(body), schemes[name])
+    return schemes, by_node
 
 
 def _descriptor(node: Any) -> str | None:
@@ -513,8 +516,8 @@ def _descriptor(node: Any) -> str | None:
     return str(node)
 
 
-def _parse_schemas(tree: dict, node: Any) -> tuple[dict[str, ObjectAuthBinding],
-                                                   dict[int, ObjectAuthBinding]]:
+def _parse_schemas(tree: dict, scheme_nodes: dict[int, SecurityScheme], node: Any
+                   ) -> tuple[dict[str, ObjectAuthBinding], dict[int, ObjectAuthBinding]]:
     """Each bound schema's binding by schema name, and by the ``id`` of its
     x-objectAuth node (the first schema's, when an alias shares the node)."""
     if not isinstance(node, dict):
@@ -525,14 +528,14 @@ def _parse_schemas(tree: dict, node: Any) -> tuple[dict[str, ObjectAuthBinding],
         auth_key = _find_key(body, _KEY_OBJECT_AUTH) if isinstance(body, dict) else None
         if auth_key is not None:
             context = f"#/components/schemas/{_escape_pointer(name)}/{auth_key}"
-            schemas[name] = _parse_binding(tree, body[auth_key], context,
-                                           Placement.ROOT_LEVEL)
+            schemas[name] = _parse_binding(tree, scheme_nodes, body[auth_key],
+                                           context)
             by_node.setdefault(id(body[auth_key]), schemas[name])
     return schemas, by_node
 
 
-def _parse_paths(tree: dict, by_node: dict[int, ObjectAuthBinding]
-                 ) -> dict[str, PathItem]:
+def _parse_paths(tree: dict, scheme_nodes: dict[int, SecurityScheme],
+                 by_node: dict[int, ObjectAuthBinding]) -> dict[str, PathItem]:
     node = tree.get("paths") or {}
     if not isinstance(node, dict):
         raise StructureError("'paths' must be a mapping")
@@ -552,7 +555,7 @@ def _parse_paths(tree: dict, by_node: dict[int, ObjectAuthBinding]
             if auth_key is not None:
                 context = f"{pointer_for_path(path)}/{verb}/{auth_key}"
                 method_bindings[verb] = _parse_binding(
-                    tree, op[auth_key], context, Placement.METHOD_LEVEL)
+                    tree, scheme_nodes, op[auth_key], context, path)
 
         x_objects_ref = None
         binding = next(iter(method_bindings.values()), None)
@@ -579,23 +582,19 @@ def _parse_paths(tree: dict, by_node: dict[int, ObjectAuthBinding]
     return paths
 
 
-def _parse_binding(tree: dict, node: Any, context: str,
-                   placement: Placement) -> ObjectAuthBinding:
+def _parse_binding(tree: dict, scheme_nodes: dict[int, SecurityScheme], node: Any,
+                   context: str, path: str | None = None) -> ObjectAuthBinding:
+    """The binding ``node`` declares, with each of its refs resolved once;
+    ``path`` is the template of a method-level binding's path item, from
+    which its relative object ref resolves, and None for a schema's."""
     if not isinstance(node, dict):
         raise StructureError(f"{context}: binding must be a mapping")
 
     object_id_ref = None
     obj = node.get("object")
     if isinstance(obj, dict):
-        if "$ref" in obj:
-            object_id_ref = obj["$ref"]
-        elif isinstance(obj.get("schema"), dict) and "$ref" in obj["schema"]:
-            object_id_ref = obj["schema"]["$ref"]
-
-    scheme_ref = None
-    scheme_node = node.get("schema")
-    if isinstance(scheme_node, dict) and "$ref" in scheme_node:
-        scheme_ref = scheme_node["$ref"]
+        object_id_ref = obj["$ref"] if "$ref" in obj else _ref_of(obj.get("schema"))
+    scheme_ref = _ref_of(node.get("schema"))
 
     token = None
     token_node = node.get("token")
@@ -610,21 +609,41 @@ def _parse_binding(tree: dict, node: Any, context: str,
     if not isinstance(scopes, dict):
         scopes = {}
     bodies, invalid = _scope_bodies(scopes)
-    groups_ref = _ref_of(scopes.get("groups"))
-    user_id_ref = _ref_of(scopes.get("user_id"))
+    dangling: list[tuple[str, Any]] = []
+    scheme_target = _target(tree, "scheme", scheme_ref, dangling)
+    object_target = _target(tree, "object", object_id_ref, dangling,
+                            None if path is None else pointer_for_path(path))
+    groups, user_id = (
+        _claim(bodies.values(), name,
+               _target(tree, "claim", _ref_of(scopes.get(name)), dangling))
+        for name in ("groups", "user_id"))
     return ObjectAuthBinding(
         context=context,
-        placement=placement,
+        placement=Placement.ROOT_LEVEL if path is None else Placement.METHOD_LEVEL,
         object_id_ref=object_id_ref,
         scheme_ref=scheme_ref,
         token=token,
         actions=tuple(bodies),
         invalid_scope_keys=tuple(invalid),
-        groups=_claim(tree, bodies.values(), "groups", groups_ref),
-        user_id=_claim(tree, bodies.values(), "user_id", user_id_ref),
-        groups_ref=groups_ref,
-        user_id_ref=user_id_ref,
+        groups=groups,
+        user_id=user_id,
+        scheme=scheme_nodes.get(id(scheme_target)),
+        object_target=object_target,
+        dangling_refs=tuple(dangling),
     )
+
+
+def _target(tree: dict, kind: str, ref: Any, dangling: list[tuple[str, Any]],
+            base: str | None = None) -> Any:
+    """The node ``ref`` lands on; None when there is no ref, and when it
+    resolves to nothing, which also adds ``(kind, ref)`` to ``dangling``."""
+    if ref is None:
+        return None
+    try:
+        return _resolve(tree, ref, base)
+    except (DanglingRefError, CyclicRefError):
+        dangling.append((kind, ref))
+        return None
 
 
 def _scope_bodies(node: dict) -> tuple[dict[Action, dict], list[str]]:
@@ -653,17 +672,12 @@ def _scope_bodies(node: dict) -> tuple[dict[Action, dict], list[str]]:
     return bodies, invalid
 
 
-def _claim(tree: dict, bodies, name: str, ref: Any) -> str | None:
+def _claim(bodies, name: str, target: Any) -> str | None:
     """A claim's type descriptor: the first non-empty one the actions'
-    bodies declare under ``name``, else the one the scopes' ``$ref`` lands
-    on; None when that ref dangles (the validator reports it)."""
+    bodies declare under ``name``, else that of ``target``, the node the
+    scopes' ``$ref`` lands on (None when there is none)."""
     found = next(filter(None, (_descriptor(b.get(name)) for b in bodies)), None)
-    if found is None and ref is not None:
-        try:
-            found = _descriptor(_resolve(tree, ref))
-        except (DanglingRefError, CyclicRefError):
-            pass
-    return found
+    return _descriptor(target) if found is None else found
 
 
 def _ref_of(node: Any) -> str | None:

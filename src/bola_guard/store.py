@@ -113,8 +113,12 @@ class JournalStore(Generic[T]):
         self.journal_position += 1
 
     def _line(self, record: dict) -> tuple[str, tuple[str, int, T | None]]:
-        """The journal line of ``record`` and what replay reads back from it."""
-        line = json.dumps(record)
+        """The journal line of ``record`` and what replay reads back from it;
+        ``ValueError`` for a record nested past what ``json.dumps`` encodes."""
+        try:
+            line = json.dumps(record)
+        except RecursionError as exc:
+            raise ValueError(f"record nests too deep to encode: {exc}") from exc
         return line, self._read(decode(line, "json"))
 
     # Replay ---------------------------------------------------------------

@@ -30,15 +30,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
-from .errors import CyclicRefError, DanglingRefError
-from .model import (
-    EssDocument,
-    ObjectAuthBinding,
-    Placement,
-    pointer_for_path,
-    resolve_ref,
-    scheme_for_ref,
-)
+from .model import EssDocument, ObjectAuthBinding, Placement, pointer_for_path
 
 ERROR = "error"
 WARNING = "warning"
@@ -75,7 +67,7 @@ def validate(doc: EssDocument) -> list[Finding]:
     findings: list[Finding] = []
     findings.extend(_check_schemes(doc))
     for binding in doc.bindings():
-        findings.extend(_check_binding(doc, binding))
+        findings.extend(_check_binding(binding))
     findings.extend(_check_paths(doc))
     findings.extend(_check_duplicates(doc))
     findings.sort(key=lambda f: (f.path_context, f.code, f.message))
@@ -129,65 +121,34 @@ def _check_schemes(doc: EssDocument) -> list[Finding]:
     return findings
 
 
-def _binding_base(binding: ObjectAuthBinding) -> str | None:
-    """Base pointer for relative refs: the enclosing path item (method-level only)."""
-    if binding.placement is not Placement.METHOD_LEVEL:
-        return None
-    # context is "#/paths/<path>/<verb>/<key>"; drop the verb and the key.
-    return "/".join(binding.context.split("/")[:-2])
-
-
-def _check_binding(doc: EssDocument, binding: ObjectAuthBinding) -> list[Finding]:
-    findings = []
+def _check_binding(binding: ObjectAuthBinding) -> list[Finding]:
     context = binding.context
+    findings = [Finding(ERROR, "E-DANGLING-REF", context,
+                        f"{kind} reference {ref!r} resolves to nothing")
+                for kind, ref in binding.dangling_refs]
+    dangles = {kind for kind, _ in binding.dangling_refs}
 
-    if binding.scheme_ref is not None:
-        try:
-            scheme = scheme_for_ref(doc, binding.scheme_ref)
-        except (DanglingRefError, CyclicRefError):
-            findings.append(Finding(ERROR, "E-DANGLING-REF", context,
-                                    f"scheme reference {binding.scheme_ref!r} "
-                                    f"resolves to nothing"))
-        else:
-            if scheme is None:
-                findings.append(Finding(ERROR, "E-SCHEME-KIND", context,
-                                        f"{binding.scheme_ref!r} does not target a "
-                                        f"security scheme"))
-            elif not scheme.is_object_auth:
-                findings.append(Finding(ERROR, "E-SCHEME-KIND", context,
-                                        f"referenced scheme {scheme.name!r} is "
-                                        f"{scheme.kind.value}, not an "
-                                        f"object-authorization scheme"))
-    elif binding.token is None:
+    scheme, ref = binding.scheme, binding.scheme_ref
+    if ref is None and binding.token is None:
         findings.append(Finding(ERROR, "E-SCHEME-KIND", context,
                                 "binding declares neither a scheme reference nor "
                                 "an inline token"))
+    elif ref is not None and scheme is None and "scheme" not in dangles:
+        findings.append(Finding(ERROR, "E-SCHEME-KIND", context,
+                                f"{ref!r} does not target a security scheme"))
+    elif scheme is not None and not scheme.is_object_auth:
+        findings.append(Finding(ERROR, "E-SCHEME-KIND", context,
+                                f"referenced scheme {scheme.name!r} is "
+                                f"{scheme.kind.value}, not an "
+                                f"object-authorization scheme"))
 
     if binding.object_id_ref is None:
         findings.append(Finding(ERROR, "E-OBJECT-REF", context,
                                 "binding declares no object identifier reference"))
-    else:
-        base = _binding_base(binding)
-        try:
-            target = resolve_ref(doc, binding.object_id_ref, base=base)
-        except (DanglingRefError, CyclicRefError):
-            findings.append(Finding(ERROR, "E-DANGLING-REF", context,
-                                    f"object reference {binding.object_id_ref!r} "
-                                    f"resolves to nothing"))
-        else:
-            if not _is_primitive_property(target):
-                findings.append(Finding(ERROR, "E-OBJECT-REF", context,
-                                        f"object reference {binding.object_id_ref!r} "
-                                        f"must target a primitive-typed property"))
-
-    for ref in (binding.groups_ref, binding.user_id_ref):
-        if ref is None:
-            continue
-        try:
-            resolve_ref(doc, ref)
-        except (DanglingRefError, CyclicRefError):
-            findings.append(Finding(ERROR, "E-DANGLING-REF", context,
-                                    f"claim reference {ref!r} resolves to nothing"))
+    elif "object" not in dangles and not _is_primitive_property(binding.object_target):
+        findings.append(Finding(ERROR, "E-OBJECT-REF", context,
+                                f"object reference {binding.object_id_ref!r} "
+                                f"must target a primitive-typed property"))
 
     for key in binding.invalid_scope_keys:
         findings.append(Finding(ERROR, "E-SCOPE-ACTION", context,

@@ -304,6 +304,10 @@ class TestUsage:
     def test_no_arguments_exits_2(self, capsys):
         assert main([]) == 2
 
+    def test_serve_takes_no_json_flag(self, capsys):
+        assert main(["serve", "--config", "service.yaml", "--json"]) == 2
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+
 
 class TestDeepNesting:
     """A text nested past ``MAX_DEPTH``, and past the recursion limit, is

@@ -27,10 +27,9 @@ from bola_guard.model import (
     build_document,
     canonicalize_tree,
     decode,
-    scheme_for_ref,
 )
 
-from conftest import CORPUS, FIXTURES, fixture_doc, fixture_text
+from conftest import CORPUS, FIXTURES, fixture_doc, fixture_text, mutate
 
 
 class TestParse:
@@ -162,14 +161,13 @@ class TestResolveRef:
         node = resolve_ref(root_doc, "#/paths/~1pet/put")
         assert "responses" in node
 
-    def test_refs_discovered_at_parse_are_resolvable(self):
+    def test_refs_discovered_at_parse_are_resolved(self):
         for name in CORPUS:
-            doc = fixture_doc(name)
-            for binding in doc.bindings():
-                for ref in (binding.scheme_ref, binding.groups_ref,
-                            binding.user_id_ref):
-                    if ref is not None:
-                        resolve_ref(doc, ref)
+            for binding in fixture_doc(name).bindings():
+                assert binding.dangling_refs == (), (name, binding.context)
+                assert (binding.scheme is None) == (binding.scheme_ref is None)
+                assert (binding.object_target is None) == \
+                    (binding.object_id_ref is None)
 
 
 class TestEmit:
@@ -260,7 +258,11 @@ paths:
             resolve_ref(root_doc, ref)
 
 
-class TestSchemeForRef:
+class TestBindingScheme:
+    """A binding's ``scheme`` is the security scheme its ``schema`` ref lands
+    on, matched by node identity; a ref that resolves to nothing is recorded
+    in ``dangling_refs``."""
+
     ALIASED = fixture_text("petstore_root_level").replace(
         "    X-objectAuthScheme:\n      type: apiKey\n      name: api_key\n"
         "      in: header\n",
@@ -268,29 +270,47 @@ class TestSchemeForRef:
         "    X-objectAuthScheme:\n      type: apiKey\n      name: api_key\n"
         "      in: query\n")
 
+    @staticmethod
+    def _pointed(doc, ref):
+        """``doc`` with its Pet binding's ``schema`` ref set to ``ref``."""
+        return mutate(doc, lambda t: t["components"]["schemas"]["Pet"]
+                      ["x-objectAuth"]["schema"].update({"$ref": ref}))
+
     def test_an_alias_chain_lands_on_the_scheme_it_names(self):
-        doc = parse_document(self.ALIASED)
-        scheme = scheme_for_ref(doc, "#/components/securitySchemes/Alias")
-        assert scheme is doc.security_schemes["X-objectAuthScheme"]
-        assert scheme.location == "query"
+        doc = self._pointed(parse_document(self.ALIASED),
+                            "#/components/securitySchemes/Alias")
+        binding = doc.schemas["Pet"]
+        assert binding.scheme is doc.security_schemes["X-objectAuthScheme"]
+        assert binding.scheme.location == "query"
+        assert binding.dangling_refs == ()
+
+    def test_of_two_names_sharing_one_node_the_first_wins(self):
+        doc = parse_document(fixture_text("petstore_root_level").replace(
+            "    X-objectAuthScheme:\n      type: apiKey\n",
+            "    X-objectAuthScheme: &s\n      type: apiKey\n") + "    Twin: *s\n")
+        assert doc.schemas["Pet"].scheme.name == "X-objectAuthScheme"
+        twin = self._pointed(doc, "#/components/securitySchemes/Twin")
+        assert twin.schemas["Pet"].scheme.name == "X-objectAuthScheme"
 
     def test_a_casing_of_the_extension_name_lands_on_the_scheme(self, root_doc):
-        scheme = scheme_for_ref(root_doc,
-                                "#/components/securitySchemes/x-objectauthscheme")
-        assert scheme.name == "X-objectAuthScheme"
+        doc = self._pointed(root_doc,
+                            "#/components/securitySchemes/x-objectauthscheme")
+        assert doc.schemas["Pet"].scheme.name == "X-objectAuthScheme"
 
     def test_a_node_that_is_not_a_scheme_is_none(self, root_doc):
-        assert scheme_for_ref(root_doc, "#/components/schemas/Pet") is None
+        binding = self._pointed(root_doc, "#/components/schemas/Pet").schemas["Pet"]
+        assert (binding.scheme, binding.dangling_refs) == (None, ())
 
-    def test_dangling_and_cyclic_chains_raise(self):
+    @pytest.mark.parametrize("ref", ["#/components/securitySchemes/Alias",
+                                     "#/components/securitySchemes/Ghost"])
+    def test_dangling_and_cyclic_chains_are_recorded_as_dangling(self, ref):
         doc = parse_document(self.ALIASED.replace(
             "    Alias:\n      $ref: '#/components/securitySchemes/X-objectAuthScheme'\n",
             "    Alias:\n      $ref: '#/components/securitySchemes/Loop'\n"
             "    Loop:\n      $ref: '#/components/securitySchemes/Alias'\n"))
-        with pytest.raises(CyclicRefError):
-            scheme_for_ref(doc, "#/components/securitySchemes/Alias")
-        with pytest.raises(DanglingRefError):
-            scheme_for_ref(doc, "#/components/securitySchemes/Ghost")
+        binding = self._pointed(doc, ref).schemas["Pet"]
+        assert binding.scheme is None
+        assert binding.dangling_refs == (("scheme", ref),)
 
 
 class TestStructureErrors:
@@ -382,7 +402,7 @@ class TestScopeShapes:
             "R: {groups: {type: string}}, X: {}, 7: {}}")
         assert binding.actions == (Action.CREATE, Action.READ)
         assert binding.invalid_scope_keys == ("X", "7")
-        assert (binding.groups_ref, binding.user_id_ref) == ("#/g", "#/u")
+        assert binding.dangling_refs == (("claim", "#/g"), ("claim", "#/u"))
         # A declared claim wins over the ref; the dangling ref gives none.
         assert (binding.groups, binding.user_id) == ("string", None)
 
@@ -467,6 +487,9 @@ _PARTING = [
     ("a: |-#c\n  x\n", {"a": "x"}, yaml.YAMLError),
     ("a: >2#c\n  x\n", {"a": "x\n"}, yaml.YAMLError),
     ("a: b\n\ufeffc: d\n", yaml.YAMLError, {"a": "b", "\ufeffc": "d"}),
+    ('a: "\\ud800"\n', yaml.YAMLError, {"a": "\ud800"}),
+    ('a: "\\U0000d800"\n', yaml.YAMLError, {"a": "\ud800"}),
+    ('a: "\\ud83d\\ude00"\n', yaml.YAMLError, {"a": "\ud83d\ude00"}),
 ]
 
 

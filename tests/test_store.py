@@ -484,6 +484,9 @@ class TestMemoryIsTheReplay:
          {"id": 2, "path": "/pet", "body": [1, 2]}),
         (AclStore, ace(1), AccessControlEntry(id=2.5, path="/pets", owner="1")),
         (AclStore, ace(1), AccessControlEntry(id=True, path="/pets", owner="1")),
+        # Nested past json.dumps's recursion limit: no RecursionError.
+        (ObjectStore, {"id": 1, "path": "/pet", "body": {}},
+         {"id": 2, "path": "/pet", "body": {"a": _deep(5000)}}),
     ])
     def test_a_put_that_replay_would_refuse_writes_nothing(
             self, tmp_path, store_class, first, refused):

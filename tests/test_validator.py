@@ -166,6 +166,26 @@ class TestValidate:
                 {"$ref": "#/components/securitySchemes/Alias"}
         assert validate(mutate(root_doc, alias)) == []
 
+    def test_a_relative_object_ref_resolves_from_its_own_path_item(self):
+        # /a's ref lands in /a; /x/y has no 201 response, so its ref dangles.
+        # A schema's binding has no path item to resolve from.
+        binding = ("object: {$ref: 'post/responses/201/id'}, "
+                   "token: {in: header}, scopes: ")
+        doc = parse_document(
+            "openapi: 3.0.3\npaths:\n"
+            "  /a:\n    post:\n      responses: {'201': {id: {type: integer}}}\n"
+            "      X-objectAuth: {" + binding + "{C: {}}}\n"
+            "  /x/y:\n    post:\n      responses: {}\n"
+            "      X-objectAuth: {" + binding + "{R: {}}}\n"
+            "components:\n  schemas:\n    Thing:\n"
+            "      x-objectAuth: {" + binding + "{methods: {post: {}}}}\n")
+        findings = validate(doc)
+        assert [(f.code, f.path_context) for f in findings] == [
+            ("E-DANGLING-REF", "#/components/schemas/Thing/x-objectAuth"),
+            ("E-DANGLING-REF", "#/paths/~1x~1y/post/X-objectAuth")]
+        assert {f.message for f in findings} == \
+            {"object reference 'post/responses/201/id' resolves to nothing"}
+
     @pytest.mark.parametrize("where", ["object", "schema", "groups", "alias"])
     @pytest.mark.parametrize("ref", [5, [1], {}, True])
     def test_a_ref_that_is_not_a_string_dangles(self, root_doc, where, ref):
